@@ -120,8 +120,10 @@ struct Context {
     counters: PmuCounters,
     launched_ms: u64,
     completed_ms: Option<f64>,
+    /// End time of the last quantum the context ran in (its launch time
+    /// before the first). Equal to the clock exactly when the context
+    /// ran in the previous quantum.
     last_run_ms: u64,
-    ran_last_quantum: bool,
     has_run: bool,
     startup_pending: bool,
     startup_quanta: u64,
@@ -142,8 +144,37 @@ impl Context {
 struct Slot {
     ctx: usize,
     core: usize,
+    /// Sharing domain of `core`.
+    domain: usize,
     smt_busy: bool,
-    co_resident: f64,
+    /// [`MachineSpec::switch_factor`] at the core's co-residency.
+    switch_factor: f64,
+    /// [`MachineSpec::switch_mpki`] at the core's co-residency.
+    switch_mpki: f64,
+}
+
+/// Per-quantum working buffers, kept on the simulator so that a quantum
+/// refills them instead of allocating; each grows only until it has
+/// held the largest set seen.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Free hardware threads per core.
+    free: Vec<usize>,
+    /// Fractional demand per core (see `Simulator::schedule`).
+    load: Vec<f64>,
+    /// Active contexts in scheduling order.
+    runnable: Vec<usize>,
+    /// The quantum's plan, ascending by context.
+    slots: Vec<Slot>,
+    /// Live cache footprint per domain.
+    footprint: Vec<f64>,
+    /// Running contexts per domain.
+    running: Vec<usize>,
+    /// The fixed point's previous and current demand per domain.
+    inputs: Vec<ContentionInputs>,
+    next: Vec<ContentionInputs>,
+    /// Snapshots being solved; swapped into `last_snapshots` afterwards.
+    snapshots: Vec<CongestionSnapshot>,
 }
 
 /// The quantum-stepped machine simulator.
@@ -158,7 +189,11 @@ pub struct Simulator {
     model: ContentionModel,
     governor: FrequencyGovernor,
     now_ms: u64,
+    /// Every context ever launched; completed ones stay for
+    /// [`Simulator::report`] but are never visited by a step.
     contexts: Vec<Context>,
+    /// Indices of the active contexts, ascending.
+    active: Vec<usize>,
     machine_l3_misses: f64,
     /// One congestion snapshot per sharing domain (socket).
     last_snapshots: Vec<CongestionSnapshot>,
@@ -167,6 +202,7 @@ pub struct Simulator {
     /// quantum could only advance the clock (see
     /// [`Simulator::skip_idle_to`]).
     idle_settled: bool,
+    scratch: Scratch,
 }
 
 impl Simulator {
@@ -195,9 +231,11 @@ impl Simulator {
             governor,
             now_ms: 0,
             contexts: Vec::new(),
+            active: Vec::new(),
             machine_l3_misses: 0.0,
             last_snapshots,
             idle_settled: false,
+            scratch: Scratch::default(),
         }
     }
 
@@ -233,7 +271,7 @@ impl Simulator {
 
     /// Number of instances still active.
     pub fn active_instances(&self) -> usize {
-        self.contexts.iter().filter(|c| c.is_active()).count()
+        self.active.len()
     }
 
     /// Launches a workload without per-quantum sampling.
@@ -282,7 +320,6 @@ impl Simulator {
             launched_ms: self.now_ms,
             completed_ms: None,
             last_run_ms: self.now_ms,
-            ran_last_quantum: false,
             has_run: false,
             startup_pending,
             startup_quanta: 0,
@@ -291,6 +328,7 @@ impl Simulator {
             sampling,
             samples: Vec::new(),
         });
+        self.active.push(id.0);
         Ok(id)
     }
 
@@ -335,44 +373,58 @@ impl Simulator {
     }
 
     /// Advances one quantum; returns completion events in instance order.
+    ///
+    /// # Cost
+    ///
+    /// O(active contexts): completed contexts stay addressable through
+    /// [`Simulator::report`] and [`Simulator::state`], but a step never
+    /// visits them, so a long-lived simulator steps as fast as a fresh
+    /// one with the same active set. A step makes no heap allocation
+    /// once its reusable buffers have grown to the largest active set
+    /// seen; only a non-empty returned event list and the samples of
+    /// [`Simulator::launch_sampled`] contexts allocate.
     pub fn step(&mut self) -> Vec<Event> {
-        let slots = self.schedule();
-        let active = slots.len();
+        // The buffers leave `self` for the quantum so that the helpers
+        // can read the simulator while filling them.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.schedule(&mut scratch);
         let freq = self
             .governor
-            .frequency_ghz(active, self.spec.hardware_threads());
+            .frequency_ghz(scratch.slots.len(), self.spec.hardware_threads());
         let cycles_q = self.spec.cycles_per_quantum(freq);
 
-        let snapshots = self.solve_congestion(&slots, cycles_q);
+        self.solve_congestion(&mut scratch, cycles_q);
+        std::mem::swap(&mut self.last_snapshots, &mut scratch.snapshots);
 
         let mut events = Vec::new();
         let mut machine_l3_this_quantum = 0.0;
-        for slot in &slots {
-            let snapshot = snapshots[self.spec.domain_of(slot.core)];
+        for slot in &scratch.slots {
+            let snapshot = self.last_snapshots[slot.domain];
             if let Some(event) =
                 self.advance(slot, cycles_q, &snapshot, &mut machine_l3_this_quantum)
             {
                 events.push(event);
             }
         }
-
         self.machine_l3_misses += machine_l3_this_quantum;
-        self.last_snapshots = snapshots;
 
         // Bookkeeping for round-robin fairness and switch counting. The
         // run stamp is the quantum's *end* time so that a context that
-        // just ran sorts behind peers still waiting from earlier quanta.
+        // just ran sorts behind peers still waiting from earlier quanta,
+        // and so that next quantum a stamp equal to the clock means
+        // "ran last quantum".
         self.now_ms += 1;
-        let scheduled: Vec<usize> = slots.iter().map(|s| s.ctx).collect();
-        for (idx, ctx) in self.contexts.iter_mut().enumerate() {
-            let ran = scheduled.contains(&idx);
-            if ran {
-                ctx.last_run_ms = self.now_ms;
-                ctx.has_run = true;
-            }
-            ctx.ran_last_quantum = ran;
+        for slot in &scratch.slots {
+            let ctx = &mut self.contexts[slot.ctx];
+            ctx.last_run_ms = self.now_ms;
+            ctx.has_run = true;
         }
-        self.idle_settled = active == 0;
+        if !events.is_empty() {
+            let contexts = &self.contexts;
+            self.active.retain(|&idx| contexts[idx].is_active());
+        }
+        self.idle_settled = scratch.slots.is_empty();
+        self.scratch = scratch;
         events
     }
 
@@ -387,11 +439,11 @@ impl Simulator {
     /// as if [`Simulator::step`] had been called once per quantum.
     ///
     /// An empty quantum's only effects are the clock tick, refreshing
-    /// [`Simulator::congestion`] from the (empty) schedule and
-    /// clearing the contexts' ran-last-quantum flags — all of which
-    /// reach a fixed point after a single empty quantum. So the skip
-    /// runs at most one real settling quantum (none if the machine is
-    /// already settled) and then jumps the clock, which is
+    /// [`Simulator::congestion`] from the (empty) schedule and leaving
+    /// every run stamp behind the clock (nothing ran last quantum) —
+    /// all of which reach a fixed point after a single empty quantum.
+    /// So the skip runs at most one real settling quantum (none if the
+    /// machine is already settled) and then jumps the clock, which is
     /// bit-identical to stepping quantum by quantum. A no-op when
     /// `target_ms` is not in the future.
     ///
@@ -466,52 +518,61 @@ impl Simulator {
     }
 
     /// Round-robin, least-recently-run-first scheduling of active
-    /// contexts onto hardware-thread slots.
-    fn schedule(&self) -> Vec<Slot> {
+    /// contexts onto hardware-thread slots, written to `scratch.slots`.
+    fn schedule(&self, scratch: &mut Scratch) {
         let smt = self.spec.smt_ways;
-        let mut free: Vec<usize> = vec![smt; self.spec.cores];
+        let Scratch {
+            free,
+            load,
+            runnable,
+            slots,
+            ..
+        } = scratch;
+        free.clear();
+        free.resize(self.spec.cores, smt);
 
         // Fractional per-core load: each active context spreads one unit
         // of demand across its allowed cores. Used for the Fig. 14
         // switch-overhead factor.
-        let mut load = vec![0.0f64; self.spec.cores];
-        let mut runnable: Vec<usize> = Vec::new();
-        for (idx, ctx) in self.contexts.iter().enumerate() {
-            if !ctx.is_active() {
-                continue;
-            }
-            runnable.push(idx);
+        load.clear();
+        load.resize(self.spec.cores, 0.0);
+        for &idx in &self.active {
+            let ctx = &self.contexts[idx];
             let share = 1.0 / ctx.allowed.len() as f64;
             for &core in &ctx.allowed {
                 load[core] += share;
             }
         }
-        runnable.sort_by_key(|&idx| (self.contexts[idx].last_run_ms, idx));
+        runnable.clear();
+        runnable.extend_from_slice(&self.active);
+        // Keys are unique, so the unstable (in-place) sort is exact.
+        runnable.sort_unstable_by_key(|&idx| (self.contexts[idx].last_run_ms, idx));
 
-        let mut assigned: Vec<Slot> = Vec::new();
-        for &idx in &runnable {
+        slots.clear();
+        for &idx in runnable.iter() {
             let ctx = &self.contexts[idx];
             if let Some(&core) = ctx.allowed.iter().find(|&&c| free[c] > 0) {
                 free[core] -= 1;
-                assigned.push(Slot {
+                slots.push(Slot {
                     ctx: idx,
                     core,
+                    domain: self.spec.domain_of(core),
                     smt_busy: false,
-                    co_resident: 1.0,
+                    switch_factor: 1.0,
+                    switch_mpki: 0.0,
                 });
             }
         }
-        // Post-pass: mark SMT siblings and attach per-core sharing level.
-        let mut occupancy = vec![0usize; self.spec.cores];
-        for slot in &assigned {
-            occupancy[slot.core] += 1;
+        // Post-pass: mark SMT siblings (a core's occupancy is
+        // `smt - free`) and fix the switch overheads of the per-core
+        // sharing level for the whole quantum.
+        for slot in slots.iter_mut() {
+            slot.smt_busy = smt - free[slot.core] > 1;
+            let co_resident = (load[slot.core] / smt as f64).max(1.0);
+            slot.switch_factor = self.spec.switch_factor(co_resident);
+            slot.switch_mpki = self.spec.switch_mpki(co_resident);
         }
-        for slot in &mut assigned {
-            slot.smt_busy = occupancy[slot.core] > 1;
-            slot.co_resident = (load[slot.core] / smt as f64).max(1.0);
-        }
-        assigned.sort_by_key(|s| s.ctx);
-        assigned
+        slots.sort_unstable_by_key(|s| s.ctx);
     }
 
     /// Damped fixed point per sharing domain: aggregate demand →
@@ -523,55 +584,59 @@ impl Simulator {
     /// descheduled function's working set still occupies the L3, which is
     /// what makes heavily time-shared machines (§7.2) more congested
     /// than one-function-per-core setups with the same running count.
-    fn solve_congestion(&self, slots: &[Slot], cycles_q: f64) -> Vec<CongestionSnapshot> {
-        let domains = self.spec.sockets;
+    ///
+    /// Solves from `last_snapshots` into `scratch.snapshots`.
+    fn solve_congestion(&self, scratch: &mut Scratch, cycles_q: f64) {
+        let Scratch {
+            slots,
+            footprint,
+            running,
+            inputs,
+            next,
+            snapshots,
+            ..
+        } = scratch;
         // Live footprint per domain: a context's working set lands on
         // the domains its allowed cores belong to, split proportionally.
-        let mut live_footprint = vec![0.0f64; domains];
-        for ctx in self.contexts.iter().filter(|c| c.is_active()) {
+        footprint.clear();
+        footprint.resize(self.spec.sockets, 0.0);
+        for &idx in &self.active {
+            let ctx = &self.contexts[idx];
             let fp = ctx.profile.phases()[ctx.phase_idx].footprint_mb;
             let share = fp / ctx.allowed.len() as f64;
             for &core in &ctx.allowed {
-                live_footprint[self.spec.domain_of(core)] += share;
+                footprint[self.spec.domain_of(core)] += share;
             }
         }
-        let mut active = vec![0usize; domains];
-        for slot in slots {
-            active[self.spec.domain_of(slot.core)] += 1;
+        running.clear();
+        running.resize(self.spec.sockets, 0);
+        for slot in slots.iter() {
+            running[slot.domain] += 1;
         }
 
-        let mut snapshots = self.last_snapshots.clone();
-        let mut inputs: Vec<ContentionInputs> = live_footprint
-            .iter()
-            .map(|&fp| ContentionInputs {
+        snapshots.clear();
+        snapshots.extend_from_slice(&self.last_snapshots);
+        for iter in 0..FIXED_POINT_ITERS {
+            next.clear();
+            next.extend(footprint.iter().map(|&fp| ContentionInputs {
                 total_footprint_mb: fp,
                 ..Default::default()
-            })
-            .collect();
-        for iter in 0..FIXED_POINT_ITERS {
-            let mut next: Vec<ContentionInputs> = live_footprint
-                .iter()
-                .map(|&fp| ContentionInputs {
-                    total_footprint_mb: fp,
-                    ..Default::default()
-                })
-                .collect();
-            for slot in slots {
-                let domain = self.spec.domain_of(slot.core);
-                let snapshot = &snapshots[domain];
+            }));
+            for slot in slots.iter() {
+                let snapshot = &snapshots[slot.domain];
                 let ctx = &self.contexts[slot.ctx];
                 let phase = ctx.profile.phases()[ctx.phase_idx];
                 let cpi = self.effective_cpi(slot, &phase, snapshot);
                 let instr_rate = cycles_q / cpi;
-                let mpki = phase.l2_mpki + self.spec.switch_mpki(slot.co_resident);
+                let mpki = phase.l2_mpki + slot.switch_mpki;
                 let l2_rate = instr_rate * mpki / 1000.0;
                 let miss = self
                     .model
                     .effective_miss_ratio(phase.l3_miss_ratio, snapshot.capacity_pressure);
-                next[domain].l2_miss_rate += l2_rate;
-                next[domain].l3_miss_rate += l2_rate * miss;
+                next[slot.domain].l2_miss_rate += l2_rate;
+                next[slot.domain].l3_miss_rate += l2_rate * miss;
             }
-            for domain in 0..domains {
+            for domain in 0..next.len() {
                 if iter > 0 {
                     // Damping stabilises queueing near saturation.
                     next[domain].l2_miss_rate =
@@ -579,11 +644,10 @@ impl Simulator {
                     next[domain].l3_miss_rate =
                         0.5 * (inputs[domain].l3_miss_rate + next[domain].l3_miss_rate);
                 }
-                snapshots[domain] = self.model.evaluate(next[domain], active[domain]);
+                snapshots[domain] = self.model.evaluate(next[domain], running[domain]);
             }
-            inputs = next;
+            std::mem::swap(inputs, next);
         }
-        snapshots
     }
 
     /// Cycles per instruction of one scheduled context in the current
@@ -603,7 +667,6 @@ impl Simulator {
         phase: &crate::profile::ExecPhase,
         snapshot: &CongestionSnapshot,
     ) -> f64 {
-        let switch = self.spec.switch_factor(slot.co_resident);
         let smt = if slot.smt_busy {
             self.spec.smt_private_factor
         } else {
@@ -617,7 +680,7 @@ impl Simulator {
             + snapshot.bandwidth_utilization.min(1.2))
         .min(2.0);
         let couple = 1.0 + self.spec.private_coupling * couple_metric;
-        phase.cpi_private * switch * smt * couple
+        phase.cpi_private * slot.switch_factor * smt * couple
     }
 
     fn stall_per_instr(
@@ -630,7 +693,7 @@ impl Simulator {
             .model
             .effective_miss_ratio(phase.l3_miss_ratio, snapshot.capacity_pressure);
         let post_l2 = self.model.post_l2_latency(snapshot, miss);
-        let mpki = phase.l2_mpki + self.spec.switch_mpki(slot.co_resident);
+        let mpki = phase.l2_mpki + slot.switch_mpki;
         (mpki / 1000.0) * phase.blocking * post_l2
     }
 
@@ -650,10 +713,11 @@ impl Simulator {
         let mut quantum_l3 = 0.0;
         let mut completed: Option<f64> = None;
 
-        // Context-switch accounting: scheduled now after a gap.
+        // Context-switch accounting: scheduled now after a gap (the run
+        // stamp is the clock only after running in the previous quantum).
         {
             let ctx = &mut self.contexts[slot.ctx];
-            if ctx.has_run && !ctx.ran_last_quantum {
+            if ctx.has_run && ctx.last_run_ms != self.now_ms {
                 ctx.counters.context_switches += 1.0;
             }
             if ctx.startup_pending {
@@ -686,7 +750,7 @@ impl Simulator {
             let used_cycles = executed * cpi;
             cycles_left -= used_cycles;
 
-            let mpki = phase.l2_mpki + self.spec.switch_mpki(slot.co_resident);
+            let mpki = phase.l2_mpki + slot.switch_mpki;
             let l2m = executed * mpki / 1000.0;
             let l3m = l2m * miss;
             quantum_instr += executed;

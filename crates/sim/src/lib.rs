@@ -34,6 +34,16 @@
 //! `T_shared` accumulates `stall·instructions`; everything else is
 //! `T_private` — the same decomposition the paper obtains from the PMU.
 //!
+//! # Cost
+//!
+//! A quantum ([`Simulator::step`]) costs O(active contexts) and makes no
+//! heap allocation once the simulator's reusable buffers have grown to
+//! its largest active set. Completed contexts stay addressable through
+//! [`Simulator::report`] and [`Simulator::state`] for the simulator's
+//! lifetime, but `step` never visits them, so a machine that has served
+//! thousands of invocations steps as fast as a fresh one with the same
+//! active set.
+//!
 //! # Examples
 //!
 //! ```

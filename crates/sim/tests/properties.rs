@@ -1,8 +1,8 @@
 //! Property-based tests on simulator invariants.
 
 use litmus_sim::{
-    ContentionInputs, ContentionModel, ExecPhase, ExecutionProfile, MachineSpec, Placement,
-    Simulator,
+    ContentionInputs, ContentionModel, Event, ExecPhase, ExecutionProfile, ExecutionReport,
+    InstanceId, InstanceState, MachineSpec, Placement, Simulator,
 };
 use proptest::prelude::*;
 
@@ -26,6 +26,76 @@ fn profile_from(phases: Vec<ExecPhase>) -> ExecutionProfile {
         builder = builder.phase(p);
     }
     builder.build().expect("arbitrary phases are in-range")
+}
+
+/// Two sockets with two-way SMT, so that stepping crosses sharing
+/// domains and pairs SMT siblings.
+fn dual_smt() -> MachineSpec {
+    let mut spec = MachineSpec::cascade_lake_dual();
+    spec.smt_ways = 2;
+    spec
+}
+
+/// A profile short enough to finish within tens of quanta, with a
+/// startup prefix half the time.
+fn arb_short_profile() -> impl Strategy<Value = ExecutionProfile> {
+    (arb_phase(), arb_phase(), 0usize..2, 0.01f64..0.2).prop_map(
+        |(startup, body, with_startup, scale)| {
+            let mut builder = ExecutionProfile::builder("short");
+            if with_startup == 1 {
+                builder = builder.startup_phase(startup);
+            }
+            builder
+                .phase(body)
+                .build()
+                .and_then(|p| p.scaled(scale))
+                .expect("arbitrary phases are in-range")
+        },
+    )
+}
+
+/// Pinned or pooled on the few cores around the socket boundary (16),
+/// so that contexts time-share cores and pools span both domains.
+fn arb_placement() -> impl Strategy<Value = Placement> {
+    (0usize..2, 14usize..18, 1usize..4).prop_map(|(pooled, core, width)| {
+        if pooled == 1 {
+            Placement::pool_range(core, core + width)
+        } else {
+            Placement::pinned(core)
+        }
+    })
+}
+
+/// Rounds of launches, each followed by a number of quanta.
+fn arb_rounds() -> impl Strategy<Value = Vec<(Vec<(ExecutionProfile, Placement)>, u64)>> {
+    prop::collection::vec(
+        (
+            prop::collection::vec((arb_short_profile(), arb_placement()), 0..5),
+            1u64..12,
+        ),
+        1..8,
+    )
+}
+
+/// One step, checking the invariants the active list relies on: the
+/// active count equals the ids whose state is `Active`, and completions
+/// come in strictly ascending instance order.
+fn checked_step(sim: &mut Simulator, ids: &[InstanceId]) -> Result<(), TestCaseError> {
+    let done: Vec<InstanceId> = sim
+        .step()
+        .into_iter()
+        .map(|Event::Completed { id, .. }| id)
+        .collect();
+    prop_assert!(
+        done.windows(2).all(|pair| pair[0] < pair[1]),
+        "completions out of instance order: {done:?}"
+    );
+    let active = ids
+        .iter()
+        .filter(|&&id| sim.state(id) == Ok(InstanceState::Active))
+        .count();
+    prop_assert_eq!(sim.active_instances(), active);
+    Ok(())
 }
 
 proptest! {
@@ -158,5 +228,63 @@ proptest! {
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(run(), run());
+    }
+
+    /// Completed history is inert: a simulator that launched and
+    /// finished a random history, then idled to `T`, runs a new batch
+    /// bit-identically to a fresh simulator idled to the same `T`.
+    #[test]
+    fn completed_history_is_inert(
+        history in arb_rounds(),
+        batch in prop::collection::vec((arb_short_profile(), arb_placement()), 1..16),
+        gap in 1u64..40,
+    ) {
+        let mut old = Simulator::new(dual_smt());
+        for (launches, quanta) in history {
+            for (profile, placement) in launches {
+                old.launch(profile, placement).unwrap();
+            }
+            old.run_for_ms(quanta);
+        }
+        old.run_until_idle().unwrap();
+        let at = old.now_ms() + gap;
+        old.skip_idle_to(at).unwrap();
+        let mut fresh = Simulator::new(dual_smt());
+        fresh.skip_idle_to(at).unwrap();
+
+        let run = |sim: &mut Simulator| -> Vec<ExecutionReport> {
+            let ids: Vec<_> = batch
+                .iter()
+                .map(|(profile, placement)| {
+                    sim.launch_sampled(profile.clone(), placement.clone()).unwrap()
+                })
+                .collect();
+            sim.run_until_idle().unwrap();
+            ids.into_iter().map(|id| sim.report(id).unwrap()).collect()
+        };
+        prop_assert_eq!(run(&mut old), run(&mut fresh));
+    }
+
+    /// Over random launch/step interleavings with pinned and pooled
+    /// placements and startup phases, every step keeps the active count
+    /// exact and reports completions in instance order, through to the
+    /// final drain.
+    #[test]
+    fn active_count_and_completion_order_hold(rounds in arb_rounds()) {
+        let mut sim = Simulator::new(dual_smt());
+        let mut ids = Vec::new();
+        for (launches, quanta) in rounds {
+            for (profile, placement) in launches {
+                ids.push(sim.launch(profile, placement).unwrap());
+            }
+            for _ in 0..quanta {
+                checked_step(&mut sim, &ids)?;
+            }
+        }
+        let deadline = sim.now_ms() + 100_000;
+        while sim.active_instances() > 0 {
+            prop_assert!(sim.now_ms() < deadline, "short profiles must drain");
+            checked_step(&mut sim, &ids)?;
+        }
     }
 }

@@ -1,4 +1,6 @@
-use litmus_sim::{Event, ExecutionReport, InstanceId, Placement, SimError, Simulator};
+use litmus_sim::{
+    Event, ExecutionReport, InstanceId, InstanceState, Placement, SimError, Simulator,
+};
 
 use crate::benchmark::Benchmark;
 use crate::mix::WorkloadMix;
@@ -92,7 +94,8 @@ impl BackfillPool {
     }
 
     /// Steps until `target` completes (backfilling fillers throughout)
-    /// and returns its report.
+    /// and returns its report. A target that has already completed
+    /// returns its report without stepping.
     ///
     /// # Errors
     ///
@@ -103,8 +106,11 @@ impl BackfillPool {
         sim: &mut Simulator,
         target: InstanceId,
     ) -> Result<ExecutionReport, SimError> {
-        // Validate the target before stepping forever on a bogus id.
-        sim.state(target)?;
+        // Validate the target before stepping forever on a bogus id, and
+        // never wait for a completion event that has already fired.
+        if sim.state(target)? == InstanceState::Completed {
+            return sim.report(target);
+        }
         loop {
             let events = sim.step();
             let done = events
@@ -189,6 +195,26 @@ mod tests {
         // The id value 0 may exist in `sim` only if something was
         // launched; here nothing was, so it must error.
         assert!(pool.run_until(&mut sim, bogus).is_err());
+    }
+
+    #[test]
+    fn run_until_returns_at_once_for_completed_target() {
+        let mut sim = Simulator::new(MachineSpec::cascade_lake());
+        let mut pool =
+            BackfillPool::new(suite::benchmarks(), 7, Placement::pool_range(1, 5)).unwrap();
+        pool.fill(&mut sim, 4).unwrap();
+        let target = sim
+            .launch(
+                suite::by_name("auth-go").unwrap().profile(),
+                Placement::pinned(0),
+            )
+            .unwrap();
+        let first = pool.run_until(&mut sim, target).unwrap();
+        let now = sim.now_ms();
+        // A second call must not wait for a completion that already
+        // fired: same report, no quantum stepped.
+        assert_eq!(pool.run_until(&mut sim, target).unwrap(), first);
+        assert_eq!(sim.now_ms(), now);
     }
 
     #[test]
