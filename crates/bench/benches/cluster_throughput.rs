@@ -2,11 +2,12 @@
 //! (dispatch → simulate → probe → price → shard) as machine count,
 //! placement policy, stepping mode and elasticity features vary.
 //!
-//! The persistent worker pool amortises thread spawns across slices,
-//! so `stepping_modes` is the headline comparison: `pooled` must never
-//! lose to `scoped`, and should win clearly at higher machine counts
-//! (a 2 s replay crosses ~100 slice barriers; scoped stepping pays a
-//! spawn/join per machine-chunk at every one of them).
+//! The persistent worker pool amortises thread spawns across
+//! hand-offs, so `stepping_modes` is the headline comparison: `pooled`
+//! must never lose to `scoped`, and should win clearly at higher
+//! machine counts (a 2 s replay crosses ~100 slice boundaries; scoped
+//! stepping pays a spawn/join per machine-chunk at every one that
+//! hands off two or more busy machines).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -9,8 +9,10 @@
 //! * **dense** — one fixture day with stealing + predictive
 //!   autoscaling on: every slice boundary is a decision round, so this
 //!   measures the full dispatch → simulate → probe → price → shard
-//!   path and the per-stage breakdown (dispatch / scale / steal /
-//!   step / barrier / queue);
+//!   path and the per-stage breakdown: dispatch / scale / steal /
+//!   step under both engines, `fan-out` around each hand-off of two
+//!   or more busy machines to the worker pool with `barrier` as its
+//!   blocked part, and the event engine's queue / bulk-account;
 //! * **sparse** — a two-day fixture chain stretched to real-time
 //!   minutes and thinned hard, so almost every slice is empty: the
 //!   workload the event engine collapses. The file records the
@@ -19,7 +21,9 @@
 //! The binary is also the CI perf-regression gate: it exits non-zero
 //! if the event-driven replay is not bit-identical to the slice oracle
 //! (full `ClusterReport` AND telemetry JSONL), or if event-driven
-//! throughput on the sparse arm falls below slice-mode.
+//! throughput on the sparse arm falls below slice-mode. The sparse
+//! gate compares best-of-3 walls in both modes: a single smoke replay
+//! takes under 10 ms, and one host stall would decide it.
 //!
 //! Usage: `bench-trajectory [--smoke] [--out PATH]`
 //! `--smoke` shrinks both arms for CI (and is NOT a number to commit:
@@ -46,6 +50,8 @@ const MACHINES: usize = 6;
 const SPARSE_MACHINES: usize = 4;
 const CORES_PER_MACHINE: usize = 8;
 const SEED: u64 = 2024;
+/// Replays behind each sparse-arm wall, in both modes (see the gate).
+const SPARSE_REPS: usize = 3;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Engine {
@@ -236,7 +242,8 @@ fn run_json(result: &RunResult, invocations: usize) -> String {
     obj.f64_field("throughput_inv_per_s", invocations as f64 / (best_ms / 1e3));
     obj.u64_field("peak_machines", result.best.peak_machines as u64);
     // Wall-clock stage breakdown from the fastest rep — slice-vs-event
-    // lives here ("barrier" and "queue"/"skip" especially).
+    // lives here ("fan-out"/"barrier" and "queue"/"bulk-account"
+    // especially).
     obj.raw_field("stages", &result.best.telemetry().profile().to_json());
     obj.finish()
 }
@@ -339,8 +346,9 @@ fn main() {
         n
     };
     println!(
-        "sparse arm: {} invocations over 2 fixture days at {} ms/minute",
-        sparse_invocations, sparse_minute_ms,
+        "sparse arm: {} invocations over 2 fixture days at {} ms/minute, \
+         {} reps per engine/thread combination",
+        sparse_invocations, sparse_minute_ms, SPARSE_REPS,
     );
 
     let mut sparse_runs = Vec::new();
@@ -348,8 +356,20 @@ fn main() {
     for threads in [1usize, 4] {
         let config = sparse_config(threads);
         let bench_driver = sparse_driver();
-        let slice = run(&config, &bench_driver, sparse_source, Engine::Slice, reps);
-        let event = run(&config, &bench_driver, sparse_source, Engine::Event, reps);
+        let slice = run(
+            &config,
+            &bench_driver,
+            sparse_source,
+            Engine::Slice,
+            SPARSE_REPS,
+        );
+        let event = run(
+            &config,
+            &bench_driver,
+            sparse_source,
+            Engine::Event,
+            SPARSE_REPS,
+        );
         assert_oracle_equal(&slice, &event, "sparse");
         print_run(&slice, sparse_invocations);
         print_run(&event, sparse_invocations);

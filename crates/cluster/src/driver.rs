@@ -195,6 +195,9 @@ pub struct Cluster {
     stepping: SteppingMode,
     drain_ms: u64,
     pool: Option<WorkerPool>,
+    /// Positions of the machines with quantum work at the current
+    /// step, reused across boundaries.
+    busy: Vec<usize>,
     probe_language: Language,
     next_id: u32,
     retired: Vec<Retired>,
@@ -250,6 +253,7 @@ impl Cluster {
             stepping: config.stepping,
             drain_ms: config.drain_ms,
             pool: None,
+            busy: Vec::new(),
             probe_language,
             retired: Vec::new(),
             retired_billing: BillingAggregator::new(),
@@ -365,58 +369,54 @@ impl Cluster {
         moved
     }
 
-    /// Steps every live machine to cluster time `target_ms`, in
-    /// parallel when the cluster was configured with more than one
-    /// thread. Machines are fully independent state machines, so
-    /// pooled, scoped and sequential stepping produce bit-identical
-    /// results.
+    /// Steps every live machine to cluster time `target_ms` — the one
+    /// stepping funnel of both replay engines. Machines with no quantum
+    /// work before the target ([`Machine::needs_quanta_before`])
+    /// fast-forward in O(1) on the driver thread first, so an error
+    /// there never strands a shard at a worker. A lone busy machine,
+    /// or every busy machine of a one-thread cluster, is stepped on the
+    /// driver too: no channel send, no wake-up, no barrier. Two or more
+    /// busy machines are handed off (the `"fan-out"` stage), sharded
+    /// across `min(threads, busy)` workers. Machines are fully
+    /// independent state machines, so every path produces
+    /// bit-identical results.
     fn step_all(&mut self, target_ms: u64, profile: &mut StageProfile) -> Result<()> {
-        let threads = self.threads.min(self.machines.len()).max(1);
-        if threads == 1 {
-            let ctx = Arc::clone(&self.ctx);
-            for machine in &mut self.machines {
-                machine.step_to(target_ms, &ctx)?;
+        self.busy.clear();
+        for (idx, machine) in self.machines.iter_mut().enumerate() {
+            if machine.needs_quanta_before(target_ms) {
+                self.busy.push(idx);
+            } else {
+                machine.step_to(target_ms, &self.ctx)?;
+            }
+        }
+        let threads = self.threads.min(self.busy.len());
+        if threads <= 1 {
+            for &idx in &self.busy {
+                self.machines[idx].step_to(target_ms, &self.ctx)?;
             }
             return Ok(());
         }
-        match self.stepping {
-            SteppingMode::Scoped => self.step_all_scoped(target_ms, threads),
+        let started = profile.start();
+        let result = match self.stepping {
+            SteppingMode::Scoped => self.step_busy_scoped(target_ms, threads),
             SteppingMode::Pooled | SteppingMode::EventDriven => {
                 // Size the pool by the configured thread count, not the
-                // current machine count: an autoscaled fleet may grow
-                // past its initial size, and step_all already caps the
-                // shards it hands out by the live machine count.
+                // current busy count: the pool lives as long as the
+                // cluster, and its step_all caps the shards it hands
+                // out by the busy count.
                 let workers = self.threads;
                 let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(workers));
-                pool.step_all(&mut self.machines, target_ms, &self.ctx, profile)
+                pool.step_all(
+                    &mut self.machines,
+                    &self.busy,
+                    target_ms,
+                    &self.ctx,
+                    profile,
+                )
             }
-        }
-    }
-
-    /// The event-driven engine's stepping entry point: when no live
-    /// machine has real quantum work before `target_ms` (no active
-    /// instances, no launch due), every machine fast-forwards in O(1)
-    /// sequentially — no shard trip to the worker pool, no barrier.
-    /// Otherwise this is exactly [`Cluster::step_all`], so results are
-    /// bit-identical either way.
-    fn step_all_event(&mut self, target_ms: u64, profile: &mut StageProfile) -> Result<()> {
-        if self
-            .machines
-            .iter()
-            .any(|machine| machine.needs_quanta_before(target_ms))
-        {
-            // Real quantum work somewhere: fan the machines out across
-            // the worker pool (profiled as its own event-engine stage).
-            let started = profile.start();
-            let result = self.step_all(target_ms, profile);
-            profile.stop("fan-out", started);
-            return result;
-        }
-        let ctx = Arc::clone(&self.ctx);
-        for machine in &mut self.machines {
-            machine.step_to(target_ms, &ctx)?;
-        }
-        Ok(())
+        };
+        profile.stop("fan-out", started);
+        result
     }
 
     /// Full simulator quanta actually stepped across the *live* fleet
@@ -428,14 +428,23 @@ impl Cluster {
         self.machines.iter().map(Machine::quanta_stepped).sum()
     }
 
-    /// The original per-slice scoped-thread stepping, kept so the
-    /// `cluster_throughput` bench can measure the pool against it.
-    fn step_all_scoped(&mut self, target_ms: u64, threads: usize) -> Result<()> {
+    /// The original scoped-thread stepping, kept so the
+    /// `cluster_throughput` bench can measure the pool against it:
+    /// spawns `threads` scoped threads over the busy machines and joins
+    /// them.
+    fn step_busy_scoped(&mut self, target_ms: u64, threads: usize) -> Result<()> {
         let ctx = &self.ctx;
-        let chunk_len = self.machines.len().div_ceil(threads);
+        let busy = &self.busy;
+        let mut machines: Vec<&mut Machine> = self
+            .machines
+            .iter_mut()
+            .enumerate()
+            .filter(|(idx, _)| busy.binary_search(idx).is_ok())
+            .map(|(_, machine)| machine)
+            .collect();
+        let chunk_len = machines.len().div_ceil(threads);
         let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .machines
+            let handles: Vec<_> = machines
                 .chunks_mut(chunk_len)
                 .map(|chunk| {
                     scope.spawn(move || {
@@ -765,12 +774,13 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
         self
     }
 
-    /// Enables wall-clock profiling of the replay-loop stages
-    /// (dispatch, scale, steal, step, and barrier under slice
-    /// stepping; queue, bulk-account and fan-out under the event
-    /// engine). Profiling is excluded from the deterministic telemetry
-    /// export and from report equality, so it can stay on during
-    /// determinism checks.
+    /// Enables wall-clock profiling of the replay-loop stages: dispatch,
+    /// scale, steal and step under both engines, `fan-out` around each
+    /// hand-off of busy machines to worker threads with `barrier` as
+    /// its blocked part, plus the event engine's queue and
+    /// bulk-account. Profiling is excluded from the deterministic
+    /// telemetry export and from report equality, so it can stay on
+    /// during determinism checks.
     pub fn profiling(mut self, enabled: bool) -> Self {
         self.telemetry.profiling = enabled;
         self
@@ -1028,13 +1038,6 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
             &state.steal_events,
         );
         emit_trace_spans(&mut state);
-        if cluster.stepping == SteppingMode::EventDriven {
-            // The slice barrier is not part of the event engine's
-            // execution model; keep its wall-clock summary to stages
-            // the engine actually has (queue, bulk-account, fan-out,
-            // step, dispatch, scale, steal).
-            state.telemetry.profile_mut().drop_stage("barrier");
-        }
         state.telemetry.close_span(replay_span, state.now_ms);
 
         let ReplayState {
@@ -1242,8 +1245,9 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
         let dispatch_started = state.telemetry.profile().start();
         for event in chunk.drain(..) {
             if !cluster.ctx.is_warmed(&event.function) {
-                // In-place: workers release their context clones at
-                // the slice barrier, so the Arc is unique here.
+                // In-place: workers release their context clones
+                // before a hand-off's barrier lifts, so the Arc is
+                // unique here.
                 Arc::make_mut(&mut cluster.ctx).warm_function(&state.spec, &event.function)?;
                 state.telemetry.inc("oracle.warmed", 1);
             }
@@ -1520,18 +1524,11 @@ fn apply_slo_transitions(telemetry: &mut Telemetry, transitions: Vec<SloAlert>) 
     }
 }
 
-/// Steps every live machine to `target_ms` under the cluster's
-/// stepping mode, wall-clock-profiled as the "step" stage.
+/// Steps every live machine to `target_ms` through
+/// [`Cluster::step_all`], wall-clock-profiled as the "step" stage.
 fn step_cluster(cluster: &mut Cluster, state: &mut ReplayState, target_ms: u64) -> Result<()> {
     let started = state.telemetry.profile().start();
-    match cluster.stepping {
-        SteppingMode::EventDriven => {
-            cluster.step_all_event(target_ms, state.telemetry.profile_mut())?
-        }
-        SteppingMode::Pooled | SteppingMode::Scoped => {
-            cluster.step_all(target_ms, state.telemetry.profile_mut())?
-        }
-    }
+    cluster.step_all(target_ms, state.telemetry.profile_mut())?;
     state.telemetry.profile_mut().stop("step", started);
     // Drain sampled completion records on the driver thread before the
     // next boundary can retire an emptied machine (records drop with

@@ -15,9 +15,11 @@
 //!   machine whose latest startup probe predicts the smallest
 //!   slowdown);
 //! * [`ClusterDriver`] — replays a multi-tenant
-//!   [`litmus_platform::InvocationTrace`] per time-slice, stepping
-//!   machines on a persistent worker pool (threads spawned once per
-//!   cluster, synchronised at a per-slice barrier);
+//!   [`litmus_platform::InvocationTrace`] per time-slice or event by
+//!   event, through one stepping funnel: idle machines fast-forward
+//!   and a lone busy machine steps on the driver thread, and only two
+//!   or more busy machines are handed to a persistent worker pool
+//!   (threads spawned once per cluster, waited for at a barrier);
 //! * [`StealingConfig`] — slice-boundary work stealing: machines whose
 //!   queued-but-not-launched backlog exceeds a threshold re-dispatch
 //!   the excess to the machine with the best forward-adjusted probe

@@ -398,8 +398,10 @@ impl Machine {
     /// Whether advancing to cluster time `cluster_ms` involves any real
     /// quantum work: active instances (serving or filler), or a queued
     /// arrival that launches before then. When false,
-    /// [`Machine::step_to`] is a pure O(1) fast-forward — the test the
-    /// event-driven engine uses to keep idle machines off the worker
+    /// [`Machine::step_to`] is a pure O(1) fast-forward. The cluster's
+    /// stepping funnel partitions the fleet with this test at every
+    /// boundary, under both replay engines: idle machines fast-forward
+    /// on the driver thread, and only busy ones can reach the worker
     /// pool.
     pub fn needs_quanta_before(&self, cluster_ms: u64) -> bool {
         if self.harness.sim().active_instances() > 0 {

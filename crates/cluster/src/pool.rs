@@ -2,15 +2,19 @@
 //!
 //! The original driver spawned scoped threads for every time-slice —
 //! thousands of spawn/join cycles per replay. The [`WorkerPool`] keeps
-//! the threads alive for the lifetime of the cluster instead: each
-//! slice, machine shards are handed to the same workers over channels,
-//! stepped in parallel, and handed back at the slice barrier (the main
-//! thread blocks until every shard returns, so a slice never overlaps
-//! the next dispatch round). Machines are fully independent state
+//! the threads alive for the lifetime of the cluster instead. The
+//! cluster's one stepping funnel (`Cluster::step_all`) fast-forwards
+//! idle machines on the driver thread and steps a lone busy machine
+//! there too; only when two or more machines have quantum work does it
+//! hand those machines — and only those — to the pool. Each hand-off
+//! shards the busy machines across the workers over channels, steps
+//! the shards in parallel, and waits for them at a barrier (the driver
+//! blocks until every shard returns, so a boundary never overlaps the
+//! next dispatch round). Machines are fully independent state
 //! machines, so the sharding — and therefore the thread count — cannot
 //! change results: replays stay bit-identical from 1 thread to N.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, SendError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -22,20 +26,26 @@ use crate::machine::Machine;
 use crate::Result;
 
 /// How the driver steps machines through each time-slice.
+///
+/// Every mode steps through the same funnel: machines with no quantum
+/// work before the boundary fast-forward on the driver thread, and a
+/// lone busy machine is stepped there too. The modes differ in the
+/// replay loop and in how two or more busy machines are handed off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SteppingMode {
-    /// Long-lived worker pool: threads are spawned once per cluster
-    /// and fed machine shards per slice — the default.
+    /// Slice stepping on a long-lived worker pool — the default. The
+    /// driver walks every slice boundary; busy machines are handed to
+    /// threads spawned once per cluster.
     #[default]
     Pooled,
-    /// Scoped threads spawned and joined every slice — the original
-    /// design, kept for benchmarking the pool against.
+    /// Scoped threads spawned and joined for every hand-off — the
+    /// original design, kept for benchmarking the pool against.
     Scoped,
     /// Discrete-event replay: the driver merges arrivals, completions,
     /// probe ticks, scale/boot events and forecast sampling points
     /// into one time-ordered queue and advances boundary-to-boundary.
-    /// Quiet stretches are bulk-skipped in O(1) per machine; dense
-    /// stretches still fan out across the same worker pool as
+    /// Quiet stretches are bulk-skipped in O(1) per machine, and busy
+    /// machines are handed to the same worker pool as
     /// [`SteppingMode::Pooled`]. Slice stepping remains the oracle:
     /// event-driven replays are bit-identical to it (full
     /// [`crate::ClusterReport`] and telemetry JSONL) at the same seed.
@@ -44,7 +54,7 @@ pub enum SteppingMode {
 
 /// One shard of machines travelling to a worker and back. The `usize`
 /// is each machine's position in the cluster's machine vector, so the
-/// barrier can reassemble the vector in its original order.
+/// barrier can put every machine back in its slot.
 struct Job {
     shard: Vec<(usize, Machine)>,
     target_ms: u64,
@@ -57,7 +67,7 @@ struct Done {
 }
 
 /// A pool of long-lived stepping threads, created once per cluster and
-/// reused by every slice of every replay.
+/// reused by every hand-off of every replay.
 #[derive(Debug)]
 pub(crate) struct WorkerPool {
     jobs: Vec<Sender<Job>>,
@@ -90,12 +100,13 @@ impl WorkerPool {
         self.jobs.len()
     }
 
-    /// Steps every machine to cluster time `target_ms`: shards the
-    /// machine vector across the workers, waits for every shard at the
-    /// slice barrier, and reassembles the vector in order. When
-    /// `profile` is enabled, the wall-clock time the main thread spends
-    /// blocked on returning shards is charged to the `"barrier"` stage
-    /// (the convoy cost the ROADMAP's slice-free engine would remove).
+    /// Steps the machines at positions `busy` (ascending, distinct) to
+    /// cluster time `target_ms`: shards them across
+    /// `min(workers, busy.len())` workers, waits for those shards at
+    /// the barrier, and puts every machine back in its slot. The other
+    /// machines never leave the driver. When `profile` is enabled, the
+    /// wall-clock time the driver spends blocked on returning shards is
+    /// charged to the `"barrier"` stage.
     ///
     /// # Errors
     ///
@@ -105,41 +116,49 @@ impl WorkerPool {
     pub(crate) fn step_all(
         &self,
         machines: &mut Vec<Machine>,
+        busy: &[usize],
         target_ms: u64,
         ctx: &Arc<ServingContext>,
         profile: &mut StageProfile,
     ) -> Result<()> {
-        let count = machines.len();
-        if count == 0 {
+        let workers = self.workers().min(busy.len());
+        if workers == 0 {
             return Ok(());
         }
-        let workers = self.workers().min(count);
-        let chunk_len = count.div_ceil(workers);
-        let mut drained = std::mem::take(machines).into_iter().enumerate();
+        let count = machines.len();
+        let mut slots: Vec<Option<Machine>> =
+            std::mem::take(machines).into_iter().map(Some).collect();
+        let mut first_error = None;
         let mut sent = 0;
-        for job_tx in &self.jobs[..workers] {
-            let shard: Vec<(usize, Machine)> = drained.by_ref().take(chunk_len).collect();
-            if shard.is_empty() {
+        let chunk_len = busy.len().div_ceil(workers);
+        for (job_tx, positions) in self.jobs.iter().zip(busy.chunks(chunk_len)) {
+            let shard = positions
+                .iter()
+                .filter_map(|&idx| Some((idx, slots[idx].take()?)))
+                .collect();
+            let job = Job {
+                shard,
+                target_ms,
+                ctx: Arc::clone(ctx),
+            };
+            if let Err(SendError(job)) = job_tx.send(job) {
+                // A dead worker hands the shard straight back.
+                for (idx, machine) in job.shard {
+                    slots[idx] = Some(machine);
+                }
+                first_error = Some(ClusterError::WorkerPanic("worker channel closed".into()));
                 break;
             }
-            job_tx
-                .send(Job {
-                    shard,
-                    target_ms,
-                    ctx: Arc::clone(ctx),
-                })
-                .map_err(|_| ClusterError::WorkerPanic("worker channel closed".into()))?;
             sent += 1;
         }
 
-        let mut slots: Vec<Option<Machine>> = (0..count).map(|_| None).collect();
-        let mut first_error = None;
         let barrier_started = profile.start();
         for _ in 0..sent {
-            let done = self
-                .done_rx
-                .recv()
-                .map_err(|_| ClusterError::WorkerPanic("worker pool disconnected".into()))?;
+            let Ok(done) = self.done_rx.recv() else {
+                first_error
+                    .get_or_insert(ClusterError::WorkerPanic("worker pool disconnected".into()));
+                break;
+            };
             for (idx, machine) in done.shard {
                 slots[idx] = Some(machine);
             }
@@ -148,15 +167,11 @@ impl WorkerPool {
             }
         }
         profile.stop("barrier", barrier_started);
-        for slot in slots {
-            machines.push(
-                slot.ok_or_else(|| ClusterError::WorkerPanic("worker lost a machine".into()))?,
-            );
+        machines.extend(slots.into_iter().flatten());
+        if machines.len() < count {
+            first_error.get_or_insert(ClusterError::WorkerPanic("worker lost a machine".into()));
         }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_error.map_or(Ok(()), Err)
     }
 }
 

@@ -279,3 +279,93 @@ fn all_idle_gap_costs_zero_machine_quanta() {
         assert_eq!(report_short.completed, report_long.completed);
     }
 }
+
+/// Arrivals `gap_ms` apart, each far shorter than the gap, so no two
+/// invocations ever overlap and round-robin routing moves the one busy
+/// machine around the fleet.
+fn one_at_a_time_trace(count: u64, gap_ms: u64) -> InvocationTrace {
+    let pool = suite::tenant_pool(TenantClass::Interactive);
+    let events = (0..count)
+        .map(|i| TraceEvent {
+            at_ms: 5 + i * gap_ms,
+            function: pool[i as usize % pool.len()].clone(),
+            tenant: TenantId(i as u32 % 2),
+        })
+        .collect();
+    InvocationTrace::from_events(events)
+}
+
+#[test]
+fn lone_busy_machine_steps_on_the_driver() {
+    // At most one machine ever has quantum work, so however many
+    // threads the cluster has, no boundary hands anything to the pool:
+    // no fan-out, no barrier, and output identical to one thread.
+    const GAP_MS: u64 = 1_000;
+    let trace = one_at_a_time_trace(8, GAP_MS);
+    let profiled = || ClusterDriver::new(RoundRobin::new()).profiling(true);
+    for stepping in [SteppingMode::Pooled, SteppingMode::EventDriven] {
+        let (one, _) = replay(
+            profiled(),
+            quiet_config(3, 1).stepping(stepping),
+            trace.source(),
+        );
+        let (four, _) = replay(
+            profiled(),
+            quiet_config(3, 4).stepping(stepping),
+            trace.source(),
+        );
+        assert_eq!(four.completed, 8);
+        // Every latency is positive, so their sum bounds the longest:
+        // each invocation finished well before the next one arrived.
+        assert!(
+            four.mean_latency_ms * four.completed as f64 + 40.0 < GAP_MS as f64,
+            "{stepping:?}: invocations overlap"
+        );
+        assert_oracle_equal(&one, &four);
+        let profile = four.telemetry().profile();
+        assert!(profile.stage("step").is_some());
+        for stage in ["fan-out", "barrier"] {
+            assert!(
+                profile.stage(stage).is_none(),
+                "{stepping:?}: a lone busy machine went through `{stage}`"
+            );
+        }
+    }
+}
+
+#[test]
+fn busy_machines_still_hand_off_to_the_pool() {
+    // Two filler machines keep at least two machines busy at every
+    // boundary, so every step hands off; three threads over those
+    // machines gives uneven shards.
+    let trace = bursty_trace(1_500, 29);
+    let profiled = || ClusterDriver::new(LitmusAware::new()).profiling(true);
+    for stepping in [SteppingMode::Pooled, SteppingMode::EventDriven] {
+        let (one, _) = replay(
+            profiled(),
+            skewed_config(4, 1).stepping(stepping),
+            trace.source(),
+        );
+        for threads in [2, 3] {
+            let (many, _) = replay(
+                profiled(),
+                skewed_config(4, threads).stepping(stepping),
+                trace.source(),
+            );
+            assert_oracle_equal(&one, &many);
+            let profile = many.telemetry().profile();
+            let calls = |stage| profile.stage(stage).map_or(0, |stat| stat.calls);
+            assert!(calls("step") > 0);
+            assert_eq!(
+                calls("fan-out"),
+                calls("step"),
+                "{stepping:?}, {threads} threads: a busy boundary skipped the pool"
+            );
+            assert_eq!(
+                calls("barrier"),
+                calls("step"),
+                "{stepping:?}, {threads} threads"
+            );
+        }
+    }
+}
