@@ -25,6 +25,14 @@
 //! gate compares best-of-3 walls in both modes: a single smoke replay
 //! takes under 10 ms, and one host stall would decide it.
 //!
+//! Every run also records `sim_quanta` (simulator quanta its machines
+//! stepped) and `sim_solves` (how many of them ran the congestion fixed
+//! point rather than reusing the previous quantum's solve). Both are
+//! sim-clock counts, identical on every host, and the binary exits
+//! non-zero if the sparse event-driven arm solves more than
+//! `MAX_SPARSE_SOLVE_SHARE` of its quanta: a broken reuse rule pushes
+//! that share toward 1 without changing any output.
+//!
 //! Usage: `bench-trajectory [--smoke] [--out PATH]`
 //! `--smoke` shrinks both arms for CI (and is NOT a number to commit:
 //! the checked-in baseline is a full-mode run). `--out` defaults to
@@ -52,6 +60,9 @@ const CORES_PER_MACHINE: usize = 8;
 const SEED: u64 = 2024;
 /// Replays behind each sparse-arm wall, in both modes (see the gate).
 const SPARSE_REPS: usize = 3;
+/// Most of its quanta the sparse event-driven arm may solve (0.38 in
+/// full mode and smoke mode when the gate was set; see the module docs).
+const MAX_SPARSE_SOLVE_SHARE: f64 = 0.6;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Engine {
@@ -166,6 +177,10 @@ struct RunResult {
     reps: usize,
     wall_ms: Vec<f64>,
     best: ClusterReport,
+    /// Simulator quanta stepped, and how many solved the congestion
+    /// fixed point; the same in every rep.
+    quanta: u64,
+    solves: u64,
 }
 
 impl RunResult {
@@ -185,6 +200,7 @@ fn run<S: TraceSource>(
     let config = config.clone().stepping(engine.stepping());
     let mut wall_ms = Vec::with_capacity(reps);
     let mut best: Option<(f64, ClusterReport)> = None;
+    let mut counts = (0, 0);
     for _ in 0..reps {
         let mut cluster =
             Cluster::build(config.clone(), tables.clone(), model.clone()).expect("cluster boots");
@@ -196,6 +212,7 @@ fn run<S: TraceSource>(
             .expect("replay succeeds");
         let elapsed = started.elapsed().as_secs_f64() * 1e3;
         wall_ms.push(elapsed);
+        counts = (cluster.quanta_stepped(), cluster.congestion_solves());
         if best.as_ref().is_none_or(|(t, _)| elapsed < *t) {
             best = Some((elapsed, report));
         }
@@ -207,6 +224,8 @@ fn run<S: TraceSource>(
         reps,
         wall_ms,
         best,
+        quanta: counts.0,
+        solves: counts.1,
     }
 }
 
@@ -241,6 +260,8 @@ fn run_json(result: &RunResult, invocations: usize) -> String {
     obj.f64_field("mean_wall_ms", mean_ms);
     obj.f64_field("throughput_inv_per_s", invocations as f64 / (best_ms / 1e3));
     obj.u64_field("peak_machines", result.best.peak_machines as u64);
+    obj.u64_field("sim_quanta", result.quanta);
+    obj.u64_field("sim_solves", result.solves);
     // Wall-clock stage breakdown from the fastest rep — slice-vs-event
     // lives here ("fan-out"/"barrier" and "queue"/"bulk-account"
     // especially).
@@ -255,6 +276,10 @@ fn print_run(result: &RunResult, invocations: usize) {
         result.threads,
         result.engine.name(),
         invocations as f64 / (best_ms / 1e3),
+    );
+    println!(
+        "    sim quanta {}, congestion solves {}",
+        result.quanta, result.solves
     );
     print!("{}", result.best.telemetry().profile().summary());
 }
@@ -375,6 +400,16 @@ fn main() {
         print_run(&event, sparse_invocations);
         let speedup = slice.best_ms() / event.best_ms();
         println!("  threads={threads}: event-driven speedup {speedup:.1}x");
+        // The reuse gate: a host-independent count, so no reps needed.
+        let solve_share = event.solves as f64 / event.quanta.max(1) as f64;
+        if solve_share > MAX_SPARSE_SOLVE_SHARE {
+            eprintln!(
+                "BENCH GATE FAIL (sparse, threads={threads}): event-driven replay solved the \
+                 congestion fixed point in {solve_share:.2} of its quanta (bound \
+                 {MAX_SPARSE_SOLVE_SHARE}) — quantum reuse regressed"
+            );
+            std::process::exit(1);
+        }
         sparse_runs.push(run_json(&slice, sparse_invocations));
         sparse_runs.push(run_json(&event, sparse_invocations));
         speedups.push((threads, speedup));

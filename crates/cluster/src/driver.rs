@@ -428,6 +428,14 @@ impl Cluster {
         self.machines.iter().map(Machine::quanta_stepped).sum()
     }
 
+    /// How many of [`Cluster::quanta_stepped`] ran the simulator's
+    /// congestion fixed point instead of reusing the previous quantum's
+    /// solve, across the live fleet. A sim-clock count, identical on
+    /// every host.
+    pub fn congestion_solves(&self) -> u64 {
+        self.machines.iter().map(Machine::congestion_solves).sum()
+    }
+
     /// The original scoped-thread stepping, kept so the
     /// `cluster_throughput` bench can measure the pool against it:
     /// spawns `threads` scoped threads over the busy machines and joins

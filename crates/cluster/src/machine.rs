@@ -185,6 +185,9 @@ pub struct Machine {
     /// fast-forwards excluded) — the wall-clock cost driver the
     /// event-driven engine minimises.
     quanta: u64,
+    /// Those of `quanta` whose simulator step ran the congestion fixed
+    /// point rather than reusing the previous quantum's solve.
+    solves: u64,
     completed: usize,
     latency_sum_ms: f64,
     queue_wait_sum_ms: f64,
@@ -236,6 +239,7 @@ impl Machine {
             dispatched: 0,
             launched: 0,
             quanta: 0,
+            solves: 0,
             completed: 0,
             latency_sum_ms: 0.0,
             queue_wait_sum_ms: 0.0,
@@ -387,8 +391,10 @@ impl Machine {
                     continue;
                 }
             }
+            let solved_before = self.harness.sim().congestion_solves();
             let events = self.harness.step()?;
             self.quanta += 1;
+            self.solves += self.harness.sim().congestion_solves() - solved_before;
             self.settle(&events, ctx)?;
         }
         self.launch_due(ctx)?;
@@ -518,6 +524,14 @@ impl Machine {
     /// their driver sliced time.
     pub fn quanta_stepped(&self) -> u64 {
         self.quanta
+    }
+
+    /// How many of [`Machine::quanta_stepped`] ran the simulator's
+    /// congestion fixed point; the rest reused the previous quantum's
+    /// solve ([`litmus_sim::Simulator::congestion_solves`]). A sim-clock
+    /// count, identical on every host.
+    pub fn congestion_solves(&self) -> u64 {
+        self.solves
     }
 
     /// Invocations dispatched here and not re-dispatched away.

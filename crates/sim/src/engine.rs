@@ -9,9 +9,15 @@ use crate::report::{ExecutionReport, StartupReport};
 use crate::spec::MachineSpec;
 use crate::Result;
 
-/// Iterations of the per-quantum congestion fixed point. Demand and
-/// latency feed back into each other; eight damped rounds are enough for
-/// well under 0.1% residual at the loads the experiments use.
+/// Cap on the rounds of the per-quantum congestion fixed point. Demand
+/// and latency feed back into each other; eight damped rounds are enough
+/// for well under 0.1% residual at the loads the experiments use. The
+/// rounds stop before the cap once a round reproduces its input demand
+/// bit for bit: that demand is the iteration's whole state, so every
+/// remaining round would recompute the same bits. Around the solve,
+/// [`Simulator::step`] rebuilds the occupancy it reads and re-runs it at
+/// all only when its one invalidation signal fired (active set or a
+/// phase changed) or the plan or snapshots moved; see there.
 const FIXED_POINT_ITERS: usize = 8;
 
 /// Safety horizon for [`Simulator::run_to_completion`], in quanta (ms).
@@ -139,6 +145,23 @@ impl Context {
     }
 }
 
+/// What changed since the previous quantum: the one invalidation signal
+/// behind every reuse in [`Simulator::step`]. Ordered by scope, so a
+/// changed active set also rebuilds what a phase change does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+enum Change {
+    /// Nothing that the occupancy caches or the last solve read.
+    Unchanged,
+    /// An active context moved to its next phase: the live footprint
+    /// is stale.
+    Phase,
+    /// A launch, or completions pruned from the active list: per-core
+    /// load and switch overheads are stale as well. A fresh simulator
+    /// starts here, with nothing built.
+    #[default]
+    ActiveSet,
+}
+
 /// Per-quantum execution plan for one scheduled context.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
@@ -153,28 +176,62 @@ struct Slot {
     switch_mpki: f64,
 }
 
-/// Per-quantum working buffers, kept on the simulator so that a quantum
-/// refills them instead of allocating; each grows only until it has
-/// held the largest set seen.
+/// A scheduled slot's factors that stay fixed through the rounds of one
+/// congestion solve. Each keeps the left-to-right product order of
+/// `Simulator::private_cpi` and `Simulator::stall_per_instr`, so the
+/// rounds compute the same bits as those functions.
+#[derive(Debug, Clone, Copy)]
+struct SlotTerms {
+    domain: usize,
+    /// `cpi_private·switch_factor·smt`: private CPI before coupling.
+    private_base: f64,
+    /// `l2_mpki + switch_mpki`.
+    mpki: f64,
+    /// `(mpki/1000)·blocking`: stall cycles per instruction per cycle
+    /// of post-L2 latency.
+    stall_base: f64,
+    l3_miss_ratio: f64,
+}
+
+/// Per-quantum working buffers and the intermediates reused across
+/// quanta, kept on the simulator so that a quantum refills them instead
+/// of allocating; each grows only until it has held the largest set
+/// seen.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Free hardware threads per core.
     free: Vec<usize>,
-    /// Fractional demand per core (see `Simulator::schedule`).
+    /// Fractional demand per core: each active context spreads one unit
+    /// across its allowed cores. Rebuilt when the active set changes.
     load: Vec<f64>,
+    /// [`MachineSpec::switch_factor`] and [`MachineSpec::switch_mpki`]
+    /// per core at its `load`, the Fig. 14 switch overheads. Rebuilt
+    /// with `load`.
+    switch_factor: Vec<f64>,
+    switch_mpki: Vec<f64>,
     /// Active contexts in scheduling order.
     runnable: Vec<usize>,
     /// The quantum's plan, ascending by context.
     slots: Vec<Slot>,
-    /// Live cache footprint per domain.
+    /// The previous quantum's plan.
+    prev_slots: Vec<Slot>,
+    /// Live cache footprint per domain. Rebuilt when the active set or
+    /// a phase changes.
     footprint: Vec<f64>,
     /// Running contexts per domain.
     running: Vec<usize>,
+    /// The solve's per-slot factors, in plan order.
+    terms: Vec<SlotTerms>,
+    /// Private-CPI coupling factor per domain for the current round.
+    couple: Vec<f64>,
     /// The fixed point's previous and current demand per domain.
     inputs: Vec<ContentionInputs>,
     next: Vec<ContentionInputs>,
     /// Snapshots being solved; swapped into `last_snapshots` afterwards.
     snapshots: Vec<CongestionSnapshot>,
+    /// Whether the last solve returned its starting snapshots bit for
+    /// bit, so that the same inputs would return them again.
+    settled: bool,
 }
 
 /// The quantum-stepped machine simulator.
@@ -202,6 +259,10 @@ pub struct Simulator {
     /// quantum could only advance the clock (see
     /// [`Simulator::skip_idle_to`]).
     idle_settled: bool,
+    /// What changed since the previous quantum (see [`Change`]).
+    changed: Change,
+    /// Quanta that ran the congestion fixed point.
+    solves: u64,
     scratch: Scratch,
 }
 
@@ -235,6 +296,8 @@ impl Simulator {
             machine_l3_misses: 0.0,
             last_snapshots,
             idle_settled: false,
+            changed: Change::default(),
+            solves: 0,
             scratch: Scratch::default(),
         }
     }
@@ -272,6 +335,14 @@ impl Simulator {
     /// Number of instances still active.
     pub fn active_instances(&self) -> usize {
         self.active.len()
+    }
+
+    /// Quanta that ran the congestion fixed point. The rest reused the
+    /// previous quantum's snapshots (see [`Simulator::step`]), so this
+    /// counts the work the reuse could not avoid. Deterministic: the
+    /// same launches and steps give the same count on every host.
+    pub fn congestion_solves(&self) -> u64 {
+        self.solves
     }
 
     /// Launches a workload without per-quantum sampling.
@@ -329,6 +400,7 @@ impl Simulator {
             samples: Vec::new(),
         });
         self.active.push(id.0);
+        self.changed = Change::ActiveSet;
         Ok(id)
     }
 
@@ -383,18 +455,52 @@ impl Simulator {
     /// once its reusable buffers have grown to the largest active set
     /// seen; only a non-empty returned event list and the samples of
     /// [`Simulator::launch_sampled`] contexts allocate.
+    ///
+    /// Within that, a step recomputes each intermediate only when one of
+    /// its inputs changed and otherwise reuses it bit for bit, so the
+    /// output is exactly that of recomputing everything. One
+    /// invalidation signal drives the reuse: it fires when the active
+    /// set changes (a launch, or completions pruned at the end of a
+    /// step) or when a step moves an active context to its next phase.
+    ///
+    /// 1. Per-core load and switch overheads are rebuilt only when the
+    ///    active set changed; the per-domain live footprint only when
+    ///    the active set or a phase changed.
+    /// 2. The damped fixed point stops as soon as a round after the
+    ///    first reproduces its input demand bit for bit
+    ///    (`FIXED_POINT_ITERS` is the cap).
+    /// 3. The solve is skipped, keeping the previous snapshots, when
+    ///    this quantum's plan equals the previous one slot for slot (as
+    ///    bits), nothing was invalidated since the previous quantum, and
+    ///    the last solve returned its starting snapshots bit for bit:
+    ///    the same inputs would return them again.
+    ///
+    /// [`Simulator::congestion_solves`] counts the quanta that solved.
     pub fn step(&mut self) -> Vec<Event> {
         // The buffers leave `self` for the quantum so that the helpers
         // can read the simulator while filling them.
         let mut scratch = std::mem::take(&mut self.scratch);
+        let changed = std::mem::replace(&mut self.changed, Change::Unchanged);
+        self.refresh_occupancy(&mut scratch, changed);
         self.schedule(&mut scratch);
         let freq = self
             .governor
             .frequency_ghz(scratch.slots.len(), self.spec.hardware_threads());
         let cycles_q = self.spec.cycles_per_quantum(freq);
 
-        self.solve_congestion(&mut scratch, cycles_q);
-        std::mem::swap(&mut self.last_snapshots, &mut scratch.snapshots);
+        let reuse = changed == Change::Unchanged
+            && scratch.settled
+            && same_plan(&scratch.slots, &scratch.prev_slots);
+        if !reuse {
+            self.solve_congestion(&mut scratch, cycles_q);
+            scratch.settled = scratch
+                .snapshots
+                .iter()
+                .zip(&self.last_snapshots)
+                .all(|(solved, start)| same_snapshot(solved, start));
+            std::mem::swap(&mut self.last_snapshots, &mut scratch.snapshots);
+            self.solves += 1;
+        }
 
         let mut events = Vec::new();
         let mut machine_l3_this_quantum = 0.0;
@@ -422,10 +528,21 @@ impl Simulator {
         if !events.is_empty() {
             let contexts = &self.contexts;
             self.active.retain(|&idx| contexts[idx].is_active());
+            self.changed = Change::ActiveSet;
         }
         self.idle_settled = scratch.slots.is_empty();
+        std::mem::swap(&mut scratch.slots, &mut scratch.prev_slots);
         self.scratch = scratch;
         events
+    }
+
+    /// Drops every reused intermediate, so that the next step rebuilds
+    /// and solves everything from scratch.
+    #[cfg(test)]
+    fn invalidate_reuse(&mut self) {
+        self.changed = Change::ActiveSet;
+        self.scratch.settled = false;
+        self.scratch.prev_slots.clear();
     }
 
     /// Whether the most recent quantum scheduled nothing, so the
@@ -517,13 +634,60 @@ impl Simulator {
         Ok(events)
     }
 
+    /// Rebuilds the occupancy caches that `changed` made stale: per-core
+    /// load and switch overheads after an active-set change, and the
+    /// per-domain live footprint after that or a phase change.
+    fn refresh_occupancy(&self, scratch: &mut Scratch, changed: Change) {
+        if changed == Change::ActiveSet {
+            let Scratch {
+                load,
+                switch_factor,
+                switch_mpki,
+                ..
+            } = &mut *scratch;
+            load.clear();
+            load.resize(self.spec.cores, 0.0);
+            for &idx in &self.active {
+                let ctx = &self.contexts[idx];
+                let share = 1.0 / ctx.allowed.len() as f64;
+                for &core in &ctx.allowed {
+                    load[core] += share;
+                }
+            }
+            let smt = self.spec.smt_ways as f64;
+            switch_factor.clear();
+            switch_mpki.clear();
+            for &core_load in load.iter() {
+                let co_resident = (core_load / smt).max(1.0);
+                switch_factor.push(self.spec.switch_factor(co_resident));
+                switch_mpki.push(self.spec.switch_mpki(co_resident));
+            }
+        }
+        if changed >= Change::Phase {
+            // A context's working set lands on the domains its allowed
+            // cores belong to, split proportionally.
+            let footprint = &mut scratch.footprint;
+            footprint.clear();
+            footprint.resize(self.spec.sockets, 0.0);
+            for &idx in &self.active {
+                let ctx = &self.contexts[idx];
+                let fp = ctx.profile.phases()[ctx.phase_idx].footprint_mb;
+                let share = fp / ctx.allowed.len() as f64;
+                for &core in &ctx.allowed {
+                    footprint[self.spec.domain_of(core)] += share;
+                }
+            }
+        }
+    }
+
     /// Round-robin, least-recently-run-first scheduling of active
     /// contexts onto hardware-thread slots, written to `scratch.slots`.
     fn schedule(&self, scratch: &mut Scratch) {
         let smt = self.spec.smt_ways;
         let Scratch {
             free,
-            load,
+            switch_factor,
+            switch_mpki,
             runnable,
             slots,
             ..
@@ -531,18 +695,6 @@ impl Simulator {
         free.clear();
         free.resize(self.spec.cores, smt);
 
-        // Fractional per-core load: each active context spreads one unit
-        // of demand across its allowed cores. Used for the Fig. 14
-        // switch-overhead factor.
-        load.clear();
-        load.resize(self.spec.cores, 0.0);
-        for &idx in &self.active {
-            let ctx = &self.contexts[idx];
-            let share = 1.0 / ctx.allowed.len() as f64;
-            for &core in &ctx.allowed {
-                load[core] += share;
-            }
-        }
         runnable.clear();
         runnable.extend_from_slice(&self.active);
         // Keys are unique, so the unstable (in-place) sort is exact.
@@ -558,19 +710,15 @@ impl Simulator {
                     core,
                     domain: self.spec.domain_of(core),
                     smt_busy: false,
-                    switch_factor: 1.0,
-                    switch_mpki: 0.0,
+                    switch_factor: switch_factor[core],
+                    switch_mpki: switch_mpki[core],
                 });
             }
         }
         // Post-pass: mark SMT siblings (a core's occupancy is
-        // `smt - free`) and fix the switch overheads of the per-core
-        // sharing level for the whole quantum.
+        // `smt - free`).
         for slot in slots.iter_mut() {
             slot.smt_busy = smt - free[slot.core] > 1;
-            let co_resident = (load[slot.core] / smt as f64).max(1.0);
-            slot.switch_factor = self.spec.switch_factor(co_resident);
-            slot.switch_mpki = self.spec.switch_mpki(co_resident);
         }
         slots.sort_unstable_by_key(|s| s.ctx);
     }
@@ -585,33 +733,52 @@ impl Simulator {
     /// what makes heavily time-shared machines (§7.2) more congested
     /// than one-function-per-core setups with the same running count.
     ///
-    /// Solves from `last_snapshots` into `scratch.snapshots`.
+    /// Solves from `last_snapshots` into `scratch.snapshots`. The three
+    /// reuse rules of [`Simulator::step`] meet here, all driven by its
+    /// one invalidation signal (active set changed, or an active context
+    /// changed phase):
+    ///
+    /// 1. the live footprint is read from `scratch.footprint` as the
+    ///    occupancy cache left it, rebuilt only on that signal;
+    /// 2. the rounds stop after the first round past round 0 whose
+    ///    damped demand equals its input demand bit for bit on every
+    ///    domain — the snapshots are a function of that demand, so any
+    ///    further round would reproduce them exactly — and
+    ///    `FIXED_POINT_ITERS` only caps them;
+    /// 3. `step` does not call this at all when the plan is unchanged,
+    ///    the signal has not fired and the last solve returned its
+    ///    starting snapshots, since it would return them again.
+    ///
+    /// The per-slot factors that no round changes are computed once per
+    /// solve, the miss ratio once per slot per round and the coupling
+    /// factor once per domain per round, each in the operand order of
+    /// `private_cpi` and `stall_per_instr`, whose sum `advance` charges.
     fn solve_congestion(&self, scratch: &mut Scratch, cycles_q: f64) {
         let Scratch {
             slots,
             footprint,
             running,
+            terms,
+            couple,
             inputs,
             next,
             snapshots,
             ..
         } = scratch;
-        // Live footprint per domain: a context's working set lands on
-        // the domains its allowed cores belong to, split proportionally.
-        footprint.clear();
-        footprint.resize(self.spec.sockets, 0.0);
-        for &idx in &self.active {
-            let ctx = &self.contexts[idx];
-            let fp = ctx.profile.phases()[ctx.phase_idx].footprint_mb;
-            let share = fp / ctx.allowed.len() as f64;
-            for &core in &ctx.allowed {
-                footprint[self.spec.domain_of(core)] += share;
-            }
-        }
         running.clear();
         running.resize(self.spec.sockets, 0);
+        terms.clear();
         for slot in slots.iter() {
             running[slot.domain] += 1;
+            let ctx = &self.contexts[slot.ctx];
+            let phase = ctx.profile.phases()[ctx.phase_idx];
+            terms.push(SlotTerms {
+                domain: slot.domain,
+                private_base: self.private_base(slot, &phase),
+                mpki: phase.l2_mpki + slot.switch_mpki,
+                stall_base: Self::stall_base(slot, &phase),
+                l3_miss_ratio: phase.l3_miss_ratio,
+            });
         }
 
         snapshots.clear();
@@ -622,67 +789,79 @@ impl Simulator {
                 total_footprint_mb: fp,
                 ..Default::default()
             }));
-            for slot in slots.iter() {
-                let snapshot = &snapshots[slot.domain];
-                let ctx = &self.contexts[slot.ctx];
-                let phase = ctx.profile.phases()[ctx.phase_idx];
-                let cpi = self.effective_cpi(slot, &phase, snapshot);
-                let instr_rate = cycles_q / cpi;
-                let mpki = phase.l2_mpki + slot.switch_mpki;
-                let l2_rate = instr_rate * mpki / 1000.0;
+            couple.clear();
+            couple.extend(snapshots.iter().map(|snapshot| self.coupling(snapshot)));
+            for term in terms.iter() {
+                let snapshot = &snapshots[term.domain];
                 let miss = self
                     .model
-                    .effective_miss_ratio(phase.l3_miss_ratio, snapshot.capacity_pressure);
-                next[slot.domain].l2_miss_rate += l2_rate;
-                next[slot.domain].l3_miss_rate += l2_rate * miss;
+                    .effective_miss_ratio(term.l3_miss_ratio, snapshot.capacity_pressure);
+                let private = term.private_base * couple[term.domain];
+                let stall = term.stall_base * self.model.post_l2_latency(snapshot, miss);
+                let instr_rate = cycles_q / (private + stall);
+                let l2_rate = instr_rate * term.mpki / 1000.0;
+                next[term.domain].l2_miss_rate += l2_rate;
+                next[term.domain].l3_miss_rate += l2_rate * miss;
             }
-            for domain in 0..next.len() {
-                if iter > 0 {
+            if iter > 0 {
+                for (demand, input) in next.iter_mut().zip(inputs.iter()) {
                     // Damping stabilises queueing near saturation.
-                    next[domain].l2_miss_rate =
-                        0.5 * (inputs[domain].l2_miss_rate + next[domain].l2_miss_rate);
-                    next[domain].l3_miss_rate =
-                        0.5 * (inputs[domain].l3_miss_rate + next[domain].l3_miss_rate);
+                    demand.l2_miss_rate = 0.5 * (input.l2_miss_rate + demand.l2_miss_rate);
+                    demand.l3_miss_rate = 0.5 * (input.l3_miss_rate + demand.l3_miss_rate);
                 }
-                snapshots[domain] = self.model.evaluate(next[domain], running[domain]);
+                // `snapshots` is already the evaluation of `inputs`.
+                if next.iter().zip(inputs.iter()).all(|(demand, input)| {
+                    demand.l2_miss_rate.to_bits() == input.l2_miss_rate.to_bits()
+                        && demand.l3_miss_rate.to_bits() == input.l3_miss_rate.to_bits()
+                }) {
+                    break;
+                }
+            }
+            for ((snapshot, demand), &count) in
+                snapshots.iter_mut().zip(next.iter()).zip(running.iter())
+            {
+                *snapshot = self.model.evaluate(*demand, count);
             }
             std::mem::swap(inputs, next);
         }
     }
 
-    /// Cycles per instruction of one scheduled context in the current
-    /// congestion state, including all private-CPI inflation factors.
-    fn effective_cpi(
-        &self,
-        slot: &Slot,
-        phase: &crate::profile::ExecPhase,
-        snapshot: &CongestionSnapshot,
-    ) -> f64 {
-        self.private_cpi(slot, phase, snapshot) + self.stall_per_instr(slot, phase, snapshot)
-    }
-
+    /// Private CPI of one scheduled context in the current congestion
+    /// state, including all private-CPI inflation factors.
     fn private_cpi(
         &self,
         slot: &Slot,
         phase: &crate::profile::ExecPhase,
         snapshot: &CongestionSnapshot,
     ) -> f64 {
+        self.private_base(slot, phase) * self.coupling(snapshot)
+    }
+
+    /// Private CPI before congestion coupling:
+    /// `cpi_private·switch_factor·smt`.
+    fn private_base(&self, slot: &Slot, phase: &crate::profile::ExecPhase) -> f64 {
         let smt = if slot.smt_busy {
             self.spec.smt_private_factor
         } else {
             1.0
         };
-        // Congestion leaks into private time through frequency-domain
-        // effects, TLB pressure and prefetcher interference: mostly
-        // tracking capacity pressure, plus the two utilisations.
+        phase.cpi_private * slot.switch_factor * smt
+    }
+
+    /// Factor by which congestion inflates private CPI. Congestion leaks
+    /// into private time through frequency-domain effects, TLB pressure
+    /// and prefetcher interference: mostly tracking capacity pressure,
+    /// plus the two utilisations.
+    fn coupling(&self, snapshot: &CongestionSnapshot) -> f64 {
         let couple_metric = (snapshot.capacity_pressure
             + snapshot.l3_port_utilization
             + snapshot.bandwidth_utilization.min(1.2))
         .min(2.0);
-        let couple = 1.0 + self.spec.private_coupling * couple_metric;
-        phase.cpi_private * slot.switch_factor * smt * couple
+        1.0 + self.spec.private_coupling * couple_metric
     }
 
+    /// Stall cycles per instruction (the `T_shared` component) of one
+    /// scheduled context in the current congestion state.
     fn stall_per_instr(
         &self,
         slot: &Slot,
@@ -692,9 +871,14 @@ impl Simulator {
         let miss = self
             .model
             .effective_miss_ratio(phase.l3_miss_ratio, snapshot.capacity_pressure);
-        let post_l2 = self.model.post_l2_latency(snapshot, miss);
+        Self::stall_base(slot, phase) * self.model.post_l2_latency(snapshot, miss)
+    }
+
+    /// Stall cycles per instruction per cycle of post-L2 latency:
+    /// `(mpki/1000)·blocking`.
+    fn stall_base(slot: &Slot, phase: &crate::profile::ExecPhase) -> f64 {
         let mpki = phase.l2_mpki + slot.switch_mpki;
-        (mpki / 1000.0) * phase.blocking * post_l2
+        (mpki / 1000.0) * phase.blocking
     }
 
     /// Advances one scheduled context through a quantum's cycles,
@@ -767,6 +951,7 @@ impl Simulator {
             if executed >= remaining - 1e-6 {
                 ctx.phase_idx = phase_idx + 1;
                 ctx.instr_into_phase = 0.0;
+                self.changed = self.changed.max(Change::Phase);
                 let frac = 1.0 - cycles_left / cycles_q;
                 if ctx.phase_idx == startup_len && ctx.startup_pending {
                     ctx.startup_pending = false;
@@ -810,10 +995,35 @@ impl Simulator {
     }
 }
 
+/// Whether two plans agree slot for slot, floats compared as bits.
+fn same_plan(a: &[Slot], b: &[Slot]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.ctx == y.ctx
+                && x.core == y.core
+                && x.domain == y.domain
+                && x.smt_busy == y.smt_busy
+                && x.switch_factor.to_bits() == y.switch_factor.to_bits()
+                && x.switch_mpki.to_bits() == y.switch_mpki.to_bits()
+        })
+}
+
+/// Whether two snapshots agree bit for bit.
+fn same_snapshot(a: &CongestionSnapshot, b: &CongestionSnapshot) -> bool {
+    a.l3_port_utilization.to_bits() == b.l3_port_utilization.to_bits()
+        && a.bandwidth_utilization.to_bits() == b.bandwidth_utilization.to_bits()
+        && a.capacity_pressure.to_bits() == b.capacity_pressure.to_bits()
+        && a.l3_latency.to_bits() == b.l3_latency.to_bits()
+        && a.mem_latency.to_bits() == b.mem_latency.to_bits()
+        && a.l3_miss_rate.to_bits() == b.l3_miss_rate.to_bits()
+        && a.active_contexts == b.active_contexts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profile::{ExecPhase, ExecutionProfile};
+    use proptest::prelude::*;
 
     fn compute_profile(name: &str, instructions: f64) -> ExecutionProfile {
         ExecutionProfile::builder(name)
@@ -1085,5 +1295,200 @@ mod tests {
             .unwrap();
         let slow = fixed.run_to_completion(id).unwrap();
         assert!(fast.wall_ms() < slow.wall_ms());
+    }
+
+    /// Two sockets with two-way SMT, so that stepping crosses sharing
+    /// domains and pairs SMT siblings.
+    fn dual_smt() -> MachineSpec {
+        let mut spec = MachineSpec::cascade_lake_dual();
+        spec.smt_ways = 2;
+        spec
+    }
+
+    fn arb_phase() -> impl Strategy<Value = ExecPhase> {
+        (
+            1.0e5f64..4.0e7, // instructions
+            0.2f64..2.0,     // cpi_private
+            0.0f64..30.0,    // l2_mpki
+            0.0f64..1.0,     // l3_miss_ratio
+            0.1f64..1.0,     // blocking
+            0.5f64..120.0,   // footprint
+        )
+            .prop_map(|(i, cpi, mpki, ratio, blocking, fp)| {
+                ExecPhase::new(i, cpi, mpki, ratio, blocking, fp)
+            })
+    }
+
+    /// One to three body phases, behind a startup phase half the time,
+    /// scaled down by up to 10× so that schedules drain quickly.
+    fn arb_profile() -> impl Strategy<Value = ExecutionProfile> {
+        (
+            arb_phase(),
+            prop::collection::vec(arb_phase(), 1..4),
+            0usize..2,
+            0.1f64..1.0,
+        )
+            .prop_map(|(startup, body, with_startup, scale)| {
+                let mut builder = ExecutionProfile::builder("diff");
+                if with_startup == 1 {
+                    builder = builder.startup_phase(startup);
+                }
+                for phase in body {
+                    builder = builder.phase(phase);
+                }
+                builder.build().unwrap().scaled(scale).unwrap()
+            })
+    }
+
+    /// Pinned or pooled on the few cores around the dual socket's
+    /// boundary (16), so that contexts time-share, pair as SMT siblings
+    /// and span both domains.
+    fn arb_placement() -> impl Strategy<Value = Placement> {
+        (0usize..2, 14usize..18, 1usize..4).prop_map(|(pooled, core, width)| {
+            if pooled == 1 {
+                Placement::pool_range(core, core + width)
+            } else {
+                Placement::pinned(core)
+            }
+        })
+    }
+
+    /// A launch: profile, placement, and whether to sample it.
+    type Launch = (ExecutionProfile, Placement, bool);
+
+    /// `profile` with every phase's footprint set to the first one's.
+    fn one_footprint(profile: &ExecutionProfile) -> ExecutionProfile {
+        let footprint_mb = profile.phases()[0].footprint_mb;
+        let mut builder = ExecutionProfile::builder("twin");
+        for (i, &phase) in profile.phases().iter().enumerate() {
+            let phase = ExecPhase {
+                footprint_mb,
+                ..phase
+            };
+            builder = if i < profile.startup_len() {
+                builder.startup_phase(phase)
+            } else {
+                builder.phase(phase)
+            };
+        }
+        builder.build().unwrap()
+    }
+
+    /// Up to three launches, each half the time as a pair of twins: the
+    /// same phases at one footprint, the second stretched, on the same
+    /// placement. Twins sharing a core alternate at equal demand until
+    /// the shorter one changes phase, which leaves the live footprint as
+    /// it was: the next plans swap twin for twin at different demand
+    /// with nothing invalidated in between.
+    fn arb_launches() -> impl Strategy<Value = Vec<Launch>> {
+        prop::collection::vec(
+            (
+                arb_profile(),
+                arb_placement(),
+                0usize..2,
+                0usize..2,
+                1.2f64..3.0,
+            ),
+            0..4,
+        )
+        .prop_map(|launches| {
+            let mut out = Vec::new();
+            for (profile, placement, sampled, twin, stretch) in launches {
+                if twin == 1 {
+                    let profile = one_footprint(&profile);
+                    let stretched = profile.scaled(stretch).unwrap();
+                    out.push((profile, placement.clone(), sampled == 1));
+                    out.push((stretched, placement, sampled == 1));
+                } else {
+                    out.push((profile, placement, sampled == 1));
+                }
+            }
+            out
+        })
+    }
+
+    /// Rounds of launches, each followed by a number of quanta.
+    fn arb_rounds() -> impl Strategy<Value = Vec<(Vec<Launch>, u64)>> {
+        prop::collection::vec((arb_launches(), 1u64..16), 1..8)
+    }
+
+    /// Steps both simulators once, `fresh` with every reused
+    /// intermediate dropped first, and checks that the quantum's events,
+    /// per-domain snapshots and L3 total agree bit for bit.
+    fn lockstep(
+        reusing: &mut Simulator,
+        fresh: &mut Simulator,
+    ) -> std::result::Result<(), TestCaseError> {
+        fresh.invalidate_reuse();
+        let bits = |events: Vec<Event>| -> Vec<(usize, u64)> {
+            events
+                .into_iter()
+                .map(|Event::Completed { id, at_ms }| (id.0, at_ms.to_bits()))
+                .collect()
+        };
+        prop_assert_eq!(bits(reusing.step()), bits(fresh.step()));
+        for (a, b) in reusing.last_snapshots.iter().zip(&fresh.last_snapshots) {
+            prop_assert!(same_snapshot(a, b), "snapshots diverged: {a:?} vs {b:?}");
+        }
+        prop_assert_eq!(
+            reusing.machine_l3_misses().to_bits(),
+            fresh.machine_l3_misses().to_bits()
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Reuse is exact: over random launch/step schedules with pinned
+        /// and pooled placements, startup phases and sampling, on one
+        /// socket and on two sockets with SMT-2, a simulator that reuses
+        /// its intermediates steps bit for bit like one that rebuilds
+        /// and solves everything every quantum, through to the final
+        /// reports.
+        #[test]
+        fn reuse_equals_recomputing_every_quantum(rounds in arb_rounds(), dual in 0usize..2) {
+            let spec = if dual == 1 { dual_smt() } else { MachineSpec::cascade_lake() };
+            let mut reusing = Simulator::new(spec.clone());
+            let mut fresh = Simulator::new(spec);
+            let mut ids = Vec::new();
+            let mut quanta = 0u64;
+            for (launches, steps) in rounds {
+                for (profile, placement, sampled) in launches {
+                    let (a, b) = if sampled {
+                        (
+                            reusing.launch_sampled(profile.clone(), placement.clone()),
+                            fresh.launch_sampled(profile, placement),
+                        )
+                    } else {
+                        (
+                            reusing.launch(profile.clone(), placement.clone()),
+                            fresh.launch(profile, placement),
+                        )
+                    };
+                    prop_assert_eq!(a.clone(), b);
+                    ids.push(a.unwrap());
+                }
+                for _ in 0..steps {
+                    lockstep(&mut reusing, &mut fresh)?;
+                    quanta += 1;
+                }
+            }
+            while reusing.active_instances() > 0 || fresh.active_instances() > 0 {
+                prop_assert!(quanta < 100_000, "short profiles must drain");
+                lockstep(&mut reusing, &mut fresh)?;
+                quanta += 1;
+            }
+            for id in ids {
+                // Debug prints every float round-trip exactly, so equal
+                // strings mean equal bits.
+                prop_assert_eq!(
+                    format!("{:?}", reusing.report(id)),
+                    format!("{:?}", fresh.report(id))
+                );
+            }
+            prop_assert_eq!(fresh.congestion_solves(), quanta);
+            prop_assert!(reusing.congestion_solves() <= quanta);
+        }
     }
 }

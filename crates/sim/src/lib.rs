@@ -44,6 +44,30 @@
 //! thousands of invocations steps as fast as a fresh one with the same
 //! active set.
 //!
+//! Within a quantum, each intermediate is recomputed only when one of
+//! its inputs changed and is otherwise reused bit for bit, so the output
+//! is exactly that of recomputing everything. One invalidation signal
+//! drives the reuse: it fires when the active set changes (a launch, or
+//! completions pruned at the end of a step) or when a step moves an
+//! active context to its next phase.
+//!
+//! 1. **Occupancy caches.** Per-core load and the per-core switch
+//!    overheads are rebuilt only when the active set changed, the
+//!    per-domain live footprint only when the active set or a phase
+//!    changed.
+//! 2. **Exact fixed-point exit.** The damped rounds stop as soon as a
+//!    round after the first reproduces its input demand (every domain's
+//!    L2 and L3 miss rate) bit for bit. That demand is the iteration's
+//!    whole state, so every remaining round would recompute the same
+//!    bits; the round count is only a cap.
+//! 3. **Solve reuse.** The solve is skipped when this quantum's plan
+//!    equals the previous one slot for slot (as bits), nothing was
+//!    invalidated since the previous quantum, and the last solve returned
+//!    its starting snapshots bit for bit: the same inputs would return
+//!    them again.
+//!
+//! [`Simulator::congestion_solves`] counts the quanta that still solved.
+//!
 //! # Examples
 //!
 //! ```
