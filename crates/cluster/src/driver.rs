@@ -599,9 +599,14 @@ impl ClusterReport {
 
     /// The deterministic JSONL export of the replay's telemetry —
     /// byte-identical across worker-pool thread counts, stepping modes,
-    /// hosts, and streaming vs materialized replay.
+    /// hosts, and streaming vs materialized replay. Complete in both
+    /// modes: after a retention replay it is the
+    /// [`ClusterReport::streamed_jsonl`] export.
     pub fn timeline_jsonl(&self) -> String {
-        self.telemetry.to_jsonl()
+        match &self.streamed_jsonl {
+            Some(streamed) => streamed.clone(),
+            None => self.telemetry.to_jsonl(),
+        }
     }
 
     /// The streamed JSONL export: `Some` only when the driver's
@@ -1023,6 +1028,7 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
         // applies, so the two alert lists agree event-for-event.
         let mut slo_alerts = Vec::new();
         if let Some(mut engine) = state.slo.take() {
+            let started = state.telemetry.profile().start();
             for record in &state.trace_records[state.slo_fed..] {
                 engine.record(&completion_sample(record));
             }
@@ -1031,6 +1037,7 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
             apply_slo_transitions(&mut state.telemetry, transitions);
             slo_alerts = engine.alerts();
             self.active_alerts = engine.active_alerts();
+            state.telemetry.profile_mut().stop("slo", started);
         }
 
         // Machines that emptied on the last slice still retire before
@@ -1492,17 +1499,20 @@ fn completion_sample(record: &CompletionRecord) -> CompletionSample {
 /// nothing else to the timeline, so these events occupy identical
 /// positions whether boundaries were stepped one by one (slice engine)
 /// or finalized in one catch-up call after a bulk skip (event engine) —
-/// the export stays byte-identical either way.
+/// the export stays byte-identical either way. Wall-clock-profiled as
+/// the "slo" stage.
 fn feed_slo_boundary(state: &mut ReplayState, at_ms: u64) {
     let Some(engine) = state.slo.as_mut() else {
         return;
     };
+    let started = state.telemetry.profile().start();
     for record in &state.trace_records[state.slo_fed..] {
         engine.record(&completion_sample(record));
     }
     state.slo_fed = state.trace_records.len();
     let transitions = engine.observe_boundary(at_ms);
     apply_slo_transitions(&mut state.telemetry, transitions);
+    state.telemetry.profile_mut().stop("slo", started);
 }
 
 /// Writes SLO fired/cleared transitions as timeline events (stamped
@@ -1564,11 +1574,13 @@ fn step_cluster(cluster: &mut Cluster, state: &mut ReplayState, target_ms: u64) 
 /// (completion time, trace id): per-machine streams are identical
 /// across stepping modes, and the sort key is unique per record, so
 /// the emitted order never depends on how the driver batched the
-/// drains (slice-by-slice vs one bulk skip).
+/// drains (slice-by-slice vs one bulk skip). Wall-clock-profiled as the
+/// "trace-emit" stage.
 fn emit_trace_spans(state: &mut ReplayState) {
     if state.trace_records.is_empty() {
         return;
     }
+    let started = state.telemetry.profile().start();
     let mut records = std::mem::take(&mut state.trace_records);
     records.sort_by(|a, b| {
         a.completed_ms
@@ -1618,6 +1630,7 @@ fn emit_trace_spans(state: &mut ReplayState) {
             state.telemetry.inc("trace.stolen", 1);
         }
     }
+    state.telemetry.profile_mut().stop("trace-emit", started);
 }
 
 /// Accounts `(to_ms − now) / slice_ms` skipped quiet slices in O(1)

@@ -187,6 +187,25 @@ fn streamed_export_is_byte_identical_across_engines_threads_and_sources() {
         oracle.contains("\"slo.spec\""),
         "SLO config on the timeline"
     );
+    // Online SLO finalization and the end-of-replay trace emission are
+    // profiled stages of their own, and profiling leaves the export
+    // untouched.
+    let profile = materialized.telemetry().profile();
+    for stage in ["slo", "trace-emit"] {
+        assert!(profile.stage(stage).is_some(), "no {stage} stage");
+    }
+    let (unprofiled, _) = replay(
+        full_driver(None).profiling(false),
+        skewed_config(4, 4),
+        &trace,
+    );
+    assert!(unprofiled.telemetry().profile().stage("slo").is_none());
+    assert_jsonl_eq(
+        "profiled",
+        &oracle,
+        "unprofiled",
+        &unprofiled.timeline_jsonl(),
+    );
 
     const KEEP: usize = 96;
     for stepping in [
@@ -206,6 +225,8 @@ fn streamed_export_is_byte_identical_across_engines_threads_and_sources() {
                     .streamed_jsonl()
                     .expect("retention attaches a sink"),
             );
+            // `timeline_jsonl` is the complete export in both modes.
+            assert_jsonl_eq("materialized", &oracle, &label, &streamed.timeline_jsonl());
             assert!(
                 streamed.timeline_peak_retained() <= KEEP + 1,
                 "peak {} exceeds window {}",

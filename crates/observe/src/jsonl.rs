@@ -285,6 +285,52 @@ pub fn parse_export(text: &str) -> Result<Vec<FlatRecord>, (usize, ParseError)> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use litmus_telemetry::{EventKind, TimelineEvent};
+    use proptest::prelude::*;
+
+    /// Text pieces covering every escape the writer emits and
+    /// multi-byte UTF-8; strings are random concatenations of them.
+    const PIECES: [&str; 12] = [
+        "a", " ", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1f}", "é", "価格", "🙂",
+    ];
+
+    const FLOATS: [f64; 8] = [
+        -0.0,
+        0.0,
+        5e-324,
+        2.2250738585072e-309,
+        1e300,
+        -1e300,
+        f64::MAX,
+        f64::NAN,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn writer_output_round_trips_strings_and_float_bits(
+            picks in prop::collection::vec(0..PIECES.len(), 0..8),
+            (pick, bits) in (0..2 * FLOATS.len(), 0..u64::MAX),
+        ) {
+            let text: String = picks.into_iter().map(|i| PIECES[i]).collect();
+            let value = FLOATS.get(pick).copied().unwrap_or(f64::from_bits(bits));
+            let event = TimelineEvent {
+                at_ms: 0,
+                name: "probe",
+                kind: EventKind::Point,
+                fields: vec![("text", text.clone().into()), ("value", value.into())],
+            };
+            let record = parse_line(&event.to_json())
+                .map_err(|err| TestCaseError::fail(err.to_string()))?;
+            prop_assert_eq!(record.str_field("text"), Some(text.as_str()));
+            if value.is_finite() {
+                prop_assert_eq!(record.num("value").map(f64::to_bits), Some(value.to_bits()));
+            } else {
+                prop_assert_eq!(record.get("value"), Some(&JsonValue::Null));
+            }
+        }
+    }
 
     #[test]
     fn parses_every_export_line_shape() {

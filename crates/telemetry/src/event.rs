@@ -7,7 +7,10 @@
 //! host. Events are append-ordered; the driver records them at slice
 //! boundaries on one thread, so append order is itself deterministic.
 
-use crate::json::{write_escaped, write_f64, JsonObject};
+use std::borrow::Cow;
+use std::ops::Range;
+
+use crate::json::{write_escaped, write_f64, write_i64, write_u64, ObjectWriter};
 
 /// A typed field value attached to a [`TimelineEvent`].
 #[derive(Debug, Clone, PartialEq)]
@@ -20,20 +23,17 @@ pub enum FieldValue {
     F64(f64),
     /// Boolean.
     Bool(bool),
-    /// String.
-    Str(String),
+    /// String: borrowed when static (function names, kinds, labels),
+    /// so recording one allocates nothing.
+    Str(Cow<'static, str>),
 }
 
 impl FieldValue {
+    /// Appends the value as JSON to `out`.
     fn write_json(&self, out: &mut String) {
-        use std::fmt::Write;
         match self {
-            FieldValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            FieldValue::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
+            FieldValue::U64(v) => write_u64(*v, out),
+            FieldValue::I64(v) => write_i64(*v, out),
             FieldValue::F64(v) => write_f64(*v, out),
             FieldValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
             FieldValue::Str(v) => write_escaped(v, out),
@@ -77,15 +77,15 @@ impl From<bool> for FieldValue {
     }
 }
 
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_owned())
+impl From<&'static str> for FieldValue {
+    fn from(v: &'static str) -> Self {
+        FieldValue::Str(Cow::Borrowed(v))
     }
 }
 
 impl From<String> for FieldValue {
     fn from(v: String) -> Self {
-        FieldValue::Str(v)
+        FieldValue::Str(Cow::Owned(v))
     }
 }
 
@@ -120,32 +120,49 @@ pub struct TimelineEvent {
 }
 
 impl TimelineEvent {
-    /// Serializes the event as one JSONL line (no trailing newline).
-    /// Field keys are flattened into the object after the reserved
-    /// `type` / `at_ms` / `name` (/ `end_ms`) keys.
+    /// Appends the event as one JSONL line (no trailing newline) to
+    /// `out`. Field keys are flattened into the object after the
+    /// reserved `type` / `at_ms` (/ `end_ms`) / `name` keys.
+    pub fn write_json(&self, out: &mut String) {
+        self.write_record(out);
+    }
+
+    /// The event as one owned JSONL line (no trailing newline); see
+    /// [`TimelineEvent::write_json`].
     pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        match self.kind {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// [`TimelineEvent::write_json`], returning where a span's
+    /// `end_ms` value landed in `out` so a streaming sink can patch a
+    /// later close into it (`None` for point events).
+    pub(crate) fn write_record(&self, out: &mut String) -> Option<Range<usize>> {
+        let mut obj = ObjectWriter::open(out);
+        let end = match self.kind {
             EventKind::Point => {
-                obj.str_field("type", "event");
-                obj.u64_field("at_ms", self.at_ms);
+                obj.str_field("type", "event")
+                    .u64_field("at_ms", self.at_ms);
+                None
             }
             EventKind::Span { end_ms } => {
-                obj.str_field("type", "span");
-                obj.u64_field("at_ms", self.at_ms);
+                obj.str_field("type", "span").u64_field("at_ms", self.at_ms);
+                let out = obj.key("end_ms");
+                let start = out.len();
                 match end_ms {
-                    Some(end) => obj.u64_field("end_ms", end),
-                    None => obj.raw_field("end_ms", "null"),
+                    Some(end) => write_u64(end, out),
+                    None => out.push_str("null"),
                 }
+                Some(start..out.len())
             }
-        }
+        };
         obj.str_field("name", self.name);
         for (key, value) in &self.fields {
-            let mut raw = String::new();
-            value.write_json(&mut raw);
-            obj.raw_field(key, &raw);
+            value.write_json(obj.key(key));
         }
-        obj.finish()
+        obj.close();
+        end
     }
 }
 
@@ -318,6 +335,135 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `TimelineEvent::to_json` as it stood before the direct writer:
+    /// a `JsonObject`, and a fresh `String` per field.
+    fn reference_to_json(event: &TimelineEvent) -> String {
+        use crate::json::reference::{write_escaped, write_f64, JsonObject};
+        use std::fmt::Write;
+        let mut obj = JsonObject::new();
+        match event.kind {
+            EventKind::Point => {
+                obj.str_field("type", "event");
+                obj.u64_field("at_ms", event.at_ms);
+            }
+            EventKind::Span { end_ms } => {
+                obj.str_field("type", "span");
+                obj.u64_field("at_ms", event.at_ms);
+                match end_ms {
+                    Some(end) => obj.u64_field("end_ms", end),
+                    None => obj.raw_field("end_ms", "null"),
+                }
+            }
+        }
+        obj.str_field("name", event.name);
+        for (key, value) in &event.fields {
+            let mut raw = String::new();
+            match value {
+                FieldValue::U64(v) => {
+                    let _ = write!(raw, "{v}");
+                }
+                FieldValue::I64(v) => {
+                    let _ = write!(raw, "{v}");
+                }
+                FieldValue::F64(v) => write_f64(*v, &mut raw),
+                FieldValue::Bool(v) => raw.push_str(if *v { "true" } else { "false" }),
+                FieldValue::Str(v) => write_escaped(v, &mut raw),
+            }
+            obj.raw_field(key, &raw);
+        }
+        obj.finish()
+    }
+
+    /// Text pieces that exercise every escape branch, multi-byte UTF-8
+    /// and the fast path; strings are random concatenations of them.
+    const PIECES: [&str; 14] = [
+        "a", "Zq", " ", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1f}", "\u{7f}", "é", "価格",
+        "🙂",
+    ];
+
+    /// Random text from `PIECES`, the empty string included.
+    fn text() -> impl Strategy<Value = String> {
+        prop::collection::vec(0..PIECES.len(), 0..7)
+            .prop_map(|picks| picks.into_iter().map(|i| PIECES[i]).collect())
+    }
+
+    const FLOATS: [f64; 12] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        5e-324,
+        2.2250738585072e-309,
+        f64::MIN_POSITIVE,
+        1e300,
+        -1e300,
+        f64::MAX,
+        0.1,
+    ];
+
+    /// A special float half the time, random bits (any class) else.
+    fn float() -> impl Strategy<Value = f64> {
+        (0..2 * FLOATS.len(), 0..u64::MAX)
+            .prop_map(|(pick, bits)| FLOATS.get(pick).copied().unwrap_or(f64::from_bits(bits)))
+    }
+
+    fn value() -> impl Strategy<Value = FieldValue> {
+        (0u32..8, 0..u64::MAX, 0..u64::MAX, float(), text()).prop_map(|(variant, u, i, f, s)| {
+            match variant {
+                0 => FieldValue::U64(u),
+                1 => FieldValue::U64(u64::MAX),
+                2 => FieldValue::I64(i as i64),
+                3 => FieldValue::I64(i64::MIN),
+                4 => FieldValue::F64(f),
+                5 => FieldValue::Bool(u % 2 == 0),
+                6 => FieldValue::Str(Cow::Owned(s)),
+                _ => FieldValue::Str(Cow::Borrowed("static")),
+            }
+        })
+    }
+
+    const KEYS: [&str; 4] = ["k", "tenant", "odd\"key", "ключ"];
+
+    fn event() -> impl Strategy<Value = TimelineEvent> {
+        (
+            0..u64::MAX,
+            0u32..3,
+            0..u64::MAX,
+            0..KEYS.len(),
+            prop::collection::vec((0..KEYS.len(), value()), 0..6),
+        )
+            .prop_map(|(at_ms, kind, end, name, fields)| TimelineEvent {
+                at_ms,
+                name: KEYS[name],
+                kind: match kind {
+                    0 => EventKind::Point,
+                    1 => EventKind::Span { end_ms: None },
+                    _ => EventKind::Span { end_ms: Some(end) },
+                },
+                fields: fields.into_iter().map(|(k, v)| (KEYS[k], v)).collect(),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn writer_matches_the_reference_serializer(event in event()) {
+            let mut out = String::from("prefix");
+            let end = event.write_record(&mut out);
+            prop_assert_eq!(&out["prefix".len()..], reference_to_json(&event));
+            // The reported span end range holds exactly the end value.
+            if let EventKind::Span { end_ms } = event.kind {
+                let expected = end_ms.map_or("null".to_owned(), |end| end.to_string());
+                prop_assert_eq!(end.map(|range| &out[range]), Some(expected.as_str()));
+            } else {
+                prop_assert!(end.is_none());
+            }
+        }
+    }
 
     #[test]
     fn point_events_serialize_with_flattened_fields() {

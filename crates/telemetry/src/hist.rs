@@ -15,8 +15,9 @@
 //! merging shards is exact (bucket counts add).
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
-use crate::json::JsonObject;
+use crate::json::ObjectWriter;
 
 /// Default target relative error for registry histograms: 1%.
 pub const DEFAULT_RELATIVE_ERROR: f64 = 0.01;
@@ -246,31 +247,33 @@ impl LogHistogram {
         self.buckets.iter().map(|(&i, &c)| (i, c))
     }
 
-    /// One JSONL line describing the histogram: scalar stats, the
-    /// standard quantiles, and the raw `[index, count]` bucket pairs
-    /// so downstream tooling can re-derive any quantile.
-    pub fn to_json(&self, name: &str) -> String {
-        let mut obj = JsonObject::new();
-        obj.str_field("type", "histogram");
-        obj.str_field("name", name);
+    /// Appends one JSONL line (no trailing newline) describing the
+    /// histogram to `out`: scalar stats, the standard quantiles, and
+    /// the raw `[index, count]` bucket pairs so downstream tooling can
+    /// re-derive any quantile.
+    pub fn write_json(&self, name: &str, out: &mut String) {
+        let mut obj = ObjectWriter::open(out);
+        obj.str_field("type", "histogram").str_field("name", name);
         obj.f64_field("relative_error", self.relative_error);
-        obj.u64_field("count", self.count);
-        obj.u64_field("zero", self.zero_count);
-        obj.u64_field("dropped", self.dropped);
-        obj.f64_field("sum", self.sum);
-        obj.f64_field("min", self.min());
-        obj.f64_field("max", self.max());
+        obj.u64_field("count", self.count)
+            .u64_field("zero", self.zero_count)
+            .u64_field("dropped", self.dropped);
+        obj.f64_field("sum", self.sum)
+            .f64_field("min", self.min())
+            .f64_field("max", self.max());
         for (label, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
             obj.f64_field(label, self.quantile(q));
         }
-        let buckets = self
-            .buckets
-            .iter()
-            .map(|(&i, &c)| format!("[{i},{c}]"))
-            .collect::<Vec<_>>()
-            .join(",");
-        obj.raw_field("buckets", &format!("[{buckets}]"));
-        obj.finish()
+        let out = obj.key("buckets");
+        out.push('[');
+        for (n, (i, c)) in self.buckets().enumerate() {
+            if n > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "[{i},{c}]");
+        }
+        out.push(']');
+        obj.close();
     }
 }
 
@@ -341,8 +344,9 @@ mod tests {
         for v in [0.0, 1.0, 10.0, 100.0] {
             hist.observe(v);
         }
-        let a = hist.to_json("queue_wait_ms");
-        let b = hist.to_json("queue_wait_ms");
+        let (mut a, mut b) = (String::new(), String::new());
+        hist.write_json("queue_wait_ms", &mut a);
+        hist.write_json("queue_wait_ms", &mut b);
         assert_eq!(a, b);
         assert!(a.starts_with(r#"{"type":"histogram","name":"queue_wait_ms""#));
         assert!(a.contains(r#""count":4"#));

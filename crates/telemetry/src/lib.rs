@@ -57,10 +57,10 @@ pub use hist::{LogHistogram, DEFAULT_RELATIVE_ERROR};
 pub use metrics::{Gauge, Registry};
 pub use profile::{StageProfile, StageStat};
 pub use recorder::FlightRecorder;
-pub use sink::{StreamingJsonlSink, TelemetrySink};
 pub use trace::{TraceId, TraceSampler};
 
-use json::JsonObject;
+use json::ObjectWriter;
+use sink::StreamingJsonlSink;
 
 /// Configuration for a [`Telemetry`] instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,13 +80,13 @@ pub struct TelemetryConfig {
     /// Seed of the deterministic trace sampler.
     pub trace_seed: u64,
     /// Retention window for the in-memory timeline. `None` (the
-    /// default) materializes every record; `Some(keep)` attaches a
-    /// [`StreamingJsonlSink`] and flushes records into it whenever
-    /// more than `keep` are resident, so peak structured timeline
-    /// memory is O(`keep`) instead of O(replay length). The streamed
-    /// export ([`Telemetry::take_streamed`]) stays byte-identical to
-    /// the materialized [`Telemetry::to_jsonl`]. Retention does not
-    /// affect the registry, the flight recorder, or replay behavior.
+    /// default) materializes every record; `Some(keep)` serializes
+    /// records into a streaming JSONL buffer whenever more than `keep`
+    /// are resident, so peak structured timeline memory is O(`keep`)
+    /// instead of O(replay length). The streamed export
+    /// ([`Telemetry::take_streamed`]) stays byte-identical to the
+    /// materialized [`Telemetry::to_jsonl`]. Retention does not affect
+    /// the registry, the flight recorder, or replay behavior.
     pub timeline_retention: Option<usize>,
 }
 
@@ -137,7 +137,7 @@ impl TelemetryConfig {
     }
 
     /// Caps the in-memory timeline at `keep` resident records,
-    /// streaming the rest through a [`StreamingJsonlSink`] (see
+    /// streaming the rest into the JSONL export as they leave (see
     /// [`TelemetryConfig::timeline_retention`]).
     pub fn timeline_retention(mut self, keep: usize) -> Self {
         self.timeline_retention = Some(keep);
@@ -161,13 +161,12 @@ pub struct Telemetry {
     recorder: FlightRecorder,
     profile: StageProfile,
     meta: Vec<(&'static str, String)>,
-    sink: Option<Box<dyn TelemetrySink>>,
+    /// Flushed records' JSONL (present iff a retention window is set).
+    sink: Option<StreamingJsonlSink>,
 }
 
 impl Telemetry {
-    /// Fresh telemetry for one replay. A retention window in `config`
-    /// attaches a [`StreamingJsonlSink`]; swap it with
-    /// [`Telemetry::attach_sink`] before recording anything.
+    /// Fresh telemetry for one replay.
     pub fn new(config: TelemetryConfig) -> Self {
         Telemetry {
             config,
@@ -178,7 +177,7 @@ impl Telemetry {
             meta: Vec::new(),
             sink: config
                 .timeline_retention
-                .map(|_| Box::new(StreamingJsonlSink::new()) as Box<dyn TelemetrySink>),
+                .map(|_| StreamingJsonlSink::default()),
         }
     }
 
@@ -229,12 +228,7 @@ impl Telemetry {
     /// Appends a point event (timeline + flight recorder). `at_ms` is
     /// sim time, ms since replay start.
     pub fn event(&mut self, at_ms: u64, name: &'static str, fields: Fields) {
-        self.recorder.record(TimelineEvent {
-            at_ms,
-            name,
-            kind: EventKind::Point,
-            fields: fields.clone(),
-        });
+        self.recorder.record_point(at_ms, name, &fields);
         self.timeline.record(at_ms, name, fields);
         self.maybe_flush();
     }
@@ -258,63 +252,40 @@ impl Telemetry {
         self.maybe_flush();
     }
 
-    /// Replaces the streaming sink (before anything is recorded).
-    /// Meaningful only together with a retention window, which is what
-    /// triggers flushing.
-    pub fn attach_sink(&mut self, sink: Box<dyn TelemetrySink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Whether a streaming sink is attached.
-    pub fn sink_attached(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Flushes records past the retention window (and any late span
-    /// closes) into the attached sink.
+    /// closes) into the streaming sink.
     fn maybe_flush(&mut self) {
-        let (Some(keep), Some(sink)) = (self.config.timeline_retention, self.sink.as_mut()) else {
-            return;
-        };
-        for (index, end_ms) in self.timeline.take_late_closes() {
-            sink.close_flushed_span(index as u64, end_ms);
-        }
-        while self.timeline.events().len() > keep {
-            match self.timeline.pop_front() {
-                Some((index, event)) => sink.flush_event(index as u64, &event),
-                None => break,
-            }
+        if let (Some(keep), Some(sink)) = (self.config.timeline_retention, self.sink.as_mut()) {
+            sink.drain(&mut self.timeline, keep);
         }
     }
 
-    /// Detaches the sink and returns the complete streamed export:
-    /// every remaining record is flushed, late closes are patched, and
-    /// the sink composes meta line + timeline + registry snapshot.
-    /// Byte-identical to what [`Telemetry::to_jsonl`] of an
-    /// un-retained replay would have produced. `None` when no sink is
-    /// attached.
+    /// Detaches the streaming sink and returns the complete streamed
+    /// export: every remaining record is flushed, late closes are
+    /// patched, and the meta line, timeline and registry snapshot are
+    /// composed. Byte-identical to what [`Telemetry::to_jsonl`] of an
+    /// un-retained replay would have produced. `None` without a
+    /// retention window.
     pub fn take_streamed(&mut self) -> Option<String> {
         let mut sink = self.sink.take()?;
-        for (index, end_ms) in self.timeline.take_late_closes() {
-            sink.close_flushed_span(index as u64, end_ms);
-        }
-        while let Some((index, event)) = self.timeline.pop_front() {
-            sink.flush_event(index as u64, &event);
-        }
-        let mut registry = String::new();
-        self.registry.write_jsonl(&mut registry);
-        Some(sink.finish(&self.meta_line(), &registry))
+        sink.drain(&mut self.timeline, 0);
+        let mut out = String::with_capacity(sink.len());
+        self.write_meta_line(&mut out);
+        sink.write_lines(&mut out);
+        self.registry.write_jsonl(&mut out);
+        Some(out)
     }
 
-    /// The JSONL meta line (first line of every export).
-    fn meta_line(&self) -> String {
-        let mut meta = JsonObject::new();
+    /// Appends the JSONL meta line (first line of every export).
+    fn write_meta_line(&self, out: &mut String) {
+        let mut meta = ObjectWriter::open(out);
         meta.str_field("type", "meta");
         for (key, value) in &self.meta {
             meta.str_field(key, value);
         }
         meta.u64_field("timeline_events", self.timeline.len() as u64);
-        meta.finish()
+        meta.close();
+        out.push('\n');
     }
 
     /// The metric registry.
@@ -346,12 +317,13 @@ impl Telemetry {
     /// `meta` line, then the timeline in append order, then the
     /// registry in name order. Sim-time-only — byte-identical across
     /// thread counts, hosts, and streaming vs materialized replay.
+    /// Under a retention window the timeline holds only its retained
+    /// suffix; the complete export is [`Telemetry::take_streamed`].
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        out.push_str(&self.meta_line());
-        out.push('\n');
+        self.write_meta_line(&mut out);
         for event in self.timeline.events() {
-            out.push_str(&event.to_json());
+            event.write_json(&mut out);
             out.push('\n');
         }
         self.registry.write_jsonl(&mut out);
@@ -430,8 +402,7 @@ impl Telemetry {
 /// deliberately ignored so report comparisons (streaming vs
 /// materialized, thread-count sweeps) hold with profiling on. The
 /// streaming sink is also excluded: its contents are a pure function
-/// of the compared timeline/registry state, and `dyn` sinks are not
-/// comparable.
+/// of the compared timeline/registry state.
 impl PartialEq for Telemetry {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
@@ -445,6 +416,7 @@ impl PartialEq for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Telemetry {
         let mut telemetry = Telemetry::new(TelemetryConfig::default().flight_capacity(2));
@@ -510,34 +482,48 @@ mod tests {
         assert!(jsonl.starts_with(r#"{"type":"meta","policy":"b","trace":"t""#));
     }
 
-    /// Drives the same record sequence through a fresh instance.
-    fn record_sequence(telemetry: &mut Telemetry) {
+    /// Drives one recording schedule through `telemetry`. Each step is
+    /// `(op, value, pick)`: a point event, a span opened (and left
+    /// open), an already-closed span, or a close of any span opened so
+    /// far — often one whose record already left the retention window,
+    /// and sometimes one closed before (a re-close updates its end).
+    fn record_schedule(telemetry: &mut Telemetry, steps: &[(u32, u64, usize)]) {
         telemetry.set_meta("policy", "litmus-aware");
         let replay = telemetry.open_span(0, "replay", vec![("policy", "litmus-aware".into())]);
-        telemetry.inc("arrivals.admitted", 7);
-        let machine = telemetry.open_span(5, "machine", vec![("id", 0u32.into())]);
-        for at in 0..200u64 {
-            telemetry.event(at * 10, "tick", vec![("n", at.into())]);
-            telemetry.observe("slice.admitted", (at % 3) as f64);
+        let mut open = vec![replay];
+        for (at, &(op, value, pick)) in (0u64..).step_by(10).zip(steps) {
+            match op {
+                0 => {
+                    telemetry.event(at, "tick", vec![("n", value.into())]);
+                    telemetry.observe("slice.admitted", (value % 3) as f64);
+                }
+                1 => open.push(telemetry.open_span(at, "machine", vec![("id", value.into())])),
+                2 => telemetry.span(
+                    "drain",
+                    at,
+                    at + value % 100,
+                    vec![("pending", value.into())],
+                ),
+                _ => telemetry.close_span(open[pick % open.len()], at + value % 1_000),
+            }
         }
-        telemetry.span("drain", 1_900, 2_000, vec![("pending", 0u64.into())]);
-        telemetry.close_span(machine, 1_950);
-        telemetry.close_span(replay, 2_000);
-        // `machine` stays re-closable; re-close after flush updates it.
-        telemetry.close_span(machine, 1_960);
+        telemetry.inc("arrivals.admitted", steps.len() as u64);
     }
 
-    #[test]
-    fn streamed_export_is_byte_identical_to_materialized() {
-        let mut materialized = Telemetry::new(TelemetryConfig::default());
-        record_sequence(&mut materialized);
-        for keep in [0, 1, 8, 64] {
+    proptest! {
+        #[test]
+        fn streamed_export_is_byte_identical_to_materialized(
+            keep in 0usize..80,
+            steps in prop::collection::vec((0u32..4, 0u64..10_000, 0usize..64), 0..240),
+        ) {
+            let mut materialized = Telemetry::new(TelemetryConfig::default());
+            record_schedule(&mut materialized, &steps);
             let mut streamed = Telemetry::new(TelemetryConfig::default().timeline_retention(keep));
-            record_sequence(&mut streamed);
-            let out = streamed.take_streamed().expect("sink attached");
+            record_schedule(&mut streamed, &steps);
+            let out = streamed.take_streamed().expect("retention streams");
             assert_jsonl_eq("materialized", &materialized.to_jsonl(), "streamed", &out);
-            assert!(streamed.timeline().peak_retained() <= keep + 1);
-            assert_eq!(streamed.timeline().len(), materialized.timeline().len());
+            prop_assert!(streamed.timeline().peak_retained() <= keep + 1);
+            prop_assert_eq!(streamed.timeline().len(), materialized.timeline().len());
         }
     }
 
@@ -557,7 +543,6 @@ mod tests {
     #[test]
     fn take_streamed_is_none_without_a_sink() {
         let mut telemetry = Telemetry::new(TelemetryConfig::default());
-        assert!(!telemetry.sink_attached());
         assert!(telemetry.take_streamed().is_none());
     }
 

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use crate::hist::LogHistogram;
-use crate::json::JsonObject;
+use crate::json::ObjectWriter;
 
 /// A last-value gauge that also tracks its range.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,15 +48,15 @@ impl Gauge {
         self.sets += n;
     }
 
-    fn to_json(self, name: &str) -> String {
-        let mut obj = JsonObject::new();
-        obj.str_field("type", "gauge");
-        obj.str_field("name", name);
-        obj.f64_field("last", self.last);
-        obj.f64_field("min", self.min);
-        obj.f64_field("max", self.max);
+    /// Appends the gauge's JSONL line (no trailing newline) to `out`.
+    fn write_json(&self, name: &str, out: &mut String) {
+        let mut obj = ObjectWriter::open(out);
+        obj.str_field("type", "gauge").str_field("name", name);
+        obj.f64_field("last", self.last)
+            .f64_field("min", self.min)
+            .f64_field("max", self.max);
         obj.u64_field("sets", self.sets);
-        obj.finish()
+        obj.close();
     }
 }
 
@@ -183,19 +183,18 @@ impl Registry {
     /// gauges, then histograms, each name-sorted) to `out`.
     pub(crate) fn write_jsonl(&self, out: &mut String) {
         for (name, value) in self.counters() {
-            let mut obj = JsonObject::new();
-            obj.str_field("type", "counter");
-            obj.str_field("name", name);
+            let mut obj = ObjectWriter::open(out);
+            obj.str_field("type", "counter").str_field("name", name);
             obj.u64_field("value", value);
-            out.push_str(&obj.finish());
+            obj.close();
             out.push('\n');
         }
         for (name, gauge) in self.gauges() {
-            out.push_str(&gauge.to_json(name));
+            gauge.write_json(name, out);
             out.push('\n');
         }
         for (name, hist) in self.histograms() {
-            out.push_str(&hist.to_json(name));
+            hist.write_json(name, out);
             out.push('\n');
         }
     }

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use crate::json::JsonObject;
+use crate::json::{array, JsonObject};
 
 /// Accumulated wall-clock cost of one named stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -113,20 +113,15 @@ impl StageProfile {
     /// JSON array of per-stage objects (wall clock — excluded from the
     /// deterministic JSONL export; used by the bench-trajectory file).
     pub fn to_json(&self) -> String {
-        let stages = self
-            .stages()
-            .map(|(name, stat)| {
-                let mut obj = JsonObject::new();
-                obj.str_field("stage", name);
-                obj.u64_field("calls", stat.calls);
-                obj.f64_field("total_ms", stat.total_ns as f64 / 1e6);
-                obj.f64_field("mean_us", stat.mean_ns() as f64 / 1e3);
-                obj.f64_field("max_us", stat.max_ns as f64 / 1e3);
-                obj.finish()
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("[{stages}]")
+        array(self.stages().map(|(name, stat)| {
+            let mut obj = JsonObject::new();
+            obj.str_field("stage", name);
+            obj.u64_field("calls", stat.calls);
+            obj.f64_field("total_ms", stat.total_ns as f64 / 1e6);
+            obj.f64_field("mean_us", stat.mean_ns() as f64 / 1e3);
+            obj.f64_field("max_us", stat.max_ns as f64 / 1e3);
+            obj.finish()
+        }))
     }
 }
 

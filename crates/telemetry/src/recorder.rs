@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use crate::event::TimelineEvent;
+use crate::event::{EventKind, Fields, TimelineEvent};
 
 /// A bounded ring of the most recent timeline events.
 ///
@@ -61,6 +61,30 @@ impl FlightRecorder {
             self.events.pop_front();
         }
         self.events.push_back(event);
+        self.seen += 1;
+    }
+
+    /// Records a point event from borrowed fields. Once the ring is
+    /// full this copies into the evicted slot, reusing its field
+    /// storage instead of allocating a fresh `Vec` per event.
+    pub(crate) fn record_point(&mut self, at_ms: u64, name: &'static str, fields: &Fields) {
+        if self.events.len() < self.capacity {
+            self.record(TimelineEvent {
+                at_ms,
+                name,
+                kind: EventKind::Point,
+                fields: fields.clone(),
+            });
+            return;
+        }
+        let Some(mut slot) = self.events.pop_front() else {
+            return;
+        };
+        slot.at_ms = at_ms;
+        slot.name = name;
+        slot.kind = EventKind::Point;
+        slot.fields.clone_from(fields);
+        self.events.push_back(slot);
         self.seen += 1;
     }
 

@@ -1,165 +1,122 @@
-//! Streaming export sinks: incremental consumers of timeline records.
+//! The streaming JSONL sink behind a retention window.
 //!
-//! A [`TelemetrySink`] receives timeline records as the retention
-//! window flushes them out of the in-memory [`Timeline`](crate::Timeline)
-//! and produces the final export when the replay closes. The contract
-//! is that a streamed export is **byte-identical** to the materialized
+//! With [`TelemetryConfig::timeline_retention`](crate::TelemetryConfig::timeline_retention)
+//! set, [`Telemetry`](crate::Telemetry) flushes records out of the
+//! front of its in-memory [`Timeline`] into this sink as the replay
+//! runs, and [`Telemetry::take_streamed`](crate::Telemetry::take_streamed)
+//! composes the final export from it. The contract is that a streamed
+//! export is **byte-identical** to the materialized
 //! [`Telemetry::to_jsonl`](crate::Telemetry::to_jsonl) of the same
 //! replay — streaming changes *when* bytes are produced, never *which*
 //! bytes.
 //!
-//! The wrinkle that makes this a real protocol rather than a `Vec`
-//! push is spans: a span is recorded at its *open* position but its
-//! `end_ms` is only known later, possibly long after the record left
-//! the retention window (the `replay` span opens at t=0 and closes at
-//! replay end). Sinks therefore accept late closes
-//! ([`TelemetrySink::close_flushed_span`]) addressed by the record's
-//! absolute timeline index, and defer serializing span records until
-//! [`TelemetrySink::finish`].
+//! Every flushed record is serialized at once, by the same writer as
+//! the materialized export, into one buffer. The wrinkle is spans: a
+//! span is recorded at its *open* position, but its `end_ms` may
+//! change after its record left the retention window (the `replay`
+//! span opens at t=0 and closes at replay end; closing a closed span
+//! updates its end). So each flushed span is parked at the byte
+//! offsets of its `end_ms` value, a late close — addressed by the
+//! record's absolute timeline index — is noted against it, and the
+//! final export patches those values in as it copies the buffer out.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
-use crate::event::{EventKind, TimelineEvent};
+use crate::event::{Timeline, TimelineEvent};
+use crate::json::write_u64;
 
-/// An incremental consumer of flushed timeline records.
-///
-/// ## Why this shape? (`--explain`)
-///
-/// * **`flush_event(index, event)`** — records arrive one at a time,
-///   in append order, with their absolute timeline index (starting at
-///   0). The index is the address late closes use; a sink must keep
-///   whatever it needs to patch span ends addressed this way.
-/// * **`close_flushed_span(index, end_ms)`** — a span whose record was
-///   already flushed has closed. Sinks patch the span's `end_ms`
-///   (closing an already-closed span updates its end, mirroring
-///   [`Timeline::close_span`](crate::Timeline::close_span)).
-/// * **`finish(meta_line, registry_jsonl)`** — the replay is over: the
-///   caller hands the sink the meta line (which needs the final record
-///   count) and the registry snapshot (name-sorted, known only at
-///   close), and the sink composes the complete export.
-///
-/// Timestamps are sim time throughout; a sink implementation must not
-/// consult wall clocks or unordered containers on the export path, or
-/// the byte-identity contract breaks.
-pub trait TelemetrySink: std::fmt::Debug + Send {
-    /// Accepts the record at absolute timeline `index` (records arrive
-    /// in append order, starting at index 0).
-    fn flush_event(&mut self, index: u64, event: &TimelineEvent);
-
-    /// Patches the `end_ms` of a span whose record was flushed at
-    /// `index` before it closed.
-    fn close_flushed_span(&mut self, index: u64, end_ms: u64);
-
-    /// Composes the final export from everything flushed, the meta
-    /// line, and the closing registry snapshot.
-    fn finish(&mut self, meta_line: &str, registry_jsonl: &str) -> String;
-
-    /// Clones the sink behind the object-safe interface (lets
-    /// [`Telemetry`](crate::Telemetry) stay `Clone`).
-    fn boxed_clone(&self) -> Box<dyn TelemetrySink>;
+/// A flushed span: where its `end_ms` value sits in the sink's buffer.
+#[derive(Debug, Clone)]
+struct ParkedSpan {
+    /// Absolute timeline index of the span's record.
+    index: usize,
+    /// Byte range of the `end_ms` value as it was written.
+    end_value: Range<usize>,
+    /// The latest close that arrived after the record was written.
+    late_end_ms: Option<u64>,
 }
 
-impl Clone for Box<dyn TelemetrySink> {
-    fn clone(&self) -> Self {
-        self.boxed_clone()
-    }
-}
-
-/// A [`TelemetrySink`] that accumulates the JSONL export incrementally.
-///
-/// Point records and already-closed spans are serialized the moment
-/// they are flushed; span records are parked un-serialized (in a
-/// `BTreeMap` keyed by absolute index — ordered iteration keeps the
-/// export deterministic) so late closes can still patch their
-/// `end_ms`, and are serialized at [`TelemetrySink::finish`] with
-/// whatever end state they reached. The composed output is
-/// byte-identical to the materialized export.
+/// Accumulates the JSONL lines of flushed timeline records.
 ///
 /// The sink holds the serialized output (which is inherently
 /// proportional to the replay); what streaming bounds is the
 /// *structured* in-memory timeline the driver and analysis code
 /// consult — see `TelemetryConfig::timeline_retention`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StreamingJsonlSink {
-    /// One slot per flushed record, in index order. Span slots hold a
-    /// placeholder until `finish` serializes them from `spans`.
-    lines: Vec<String>,
-    /// Flushed span records, keyed by absolute index, with their
-    /// latest end state.
-    spans: BTreeMap<usize, TimelineEvent>,
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StreamingJsonlSink {
+    /// Every flushed record, one line each, in timeline order.
+    lines: String,
+    /// Every flushed span, ascending by index.
+    spans: Vec<ParkedSpan>,
 }
 
 impl StreamingJsonlSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        StreamingJsonlSink::default()
+    /// Applies `timeline`'s pending late closes, then flushes records
+    /// out of its front until at most `keep` remain.
+    pub(crate) fn drain(&mut self, timeline: &mut Timeline, keep: usize) {
+        for (index, end_ms) in timeline.take_late_closes() {
+            self.close_flushed_span(index, end_ms);
+        }
+        while timeline.events().len() > keep {
+            let Some((index, event)) = timeline.pop_front() else {
+                break;
+            };
+            self.flush_event(index, &event);
+        }
     }
 
-    /// Number of records flushed so far.
-    pub fn flushed(&self) -> usize {
+    /// Serializes the record at absolute timeline `index` (records
+    /// arrive in append order).
+    fn flush_event(&mut self, index: usize, event: &TimelineEvent) {
+        if let Some(end_value) = event.write_record(&mut self.lines) {
+            self.spans.push(ParkedSpan {
+                index,
+                end_value,
+                late_end_ms: None,
+            });
+        }
+        self.lines.push('\n');
+    }
+
+    /// Notes a close of the span flushed at `index`; anything else
+    /// (a point event, an index never flushed) is ignored, mirroring
+    /// [`Timeline::close_span`].
+    fn close_flushed_span(&mut self, index: usize, end_ms: u64) {
+        if let Ok(at) = self.spans.binary_search_by_key(&index, |span| span.index) {
+            self.spans[at].late_end_ms = Some(end_ms);
+        }
+    }
+
+    /// Appends every flushed line to `out`, with late closes patched
+    /// into their spans' `end_ms` values.
+    pub(crate) fn write_lines(&self, out: &mut String) {
+        let mut copied = 0;
+        for span in &self.spans {
+            if let Some(end_ms) = span.late_end_ms {
+                out.push_str(&self.lines[copied..span.end_value.start]);
+                write_u64(end_ms, out);
+                copied = span.end_value.end;
+            }
+        }
+        out.push_str(&self.lines[copied..]);
+    }
+
+    /// Bytes of flushed lines held.
+    pub(crate) fn len(&self) -> usize {
         self.lines.len()
-    }
-}
-
-impl TelemetrySink for StreamingJsonlSink {
-    fn flush_event(&mut self, index: u64, event: &TimelineEvent) {
-        let index = index as usize;
-        // Records arrive contiguously from 0; tolerate (rather than
-        // panic on) a gap by padding, so a misbehaving caller degrades
-        // to blank lines instead of aborting a replay.
-        while self.lines.len() < index {
-            self.lines.push(String::new());
-        }
-        match event.kind {
-            EventKind::Point => self.lines.push(event.to_json()),
-            EventKind::Span { .. } => {
-                self.spans.insert(index, event.clone());
-                self.lines.push(String::new());
-            }
-        }
-    }
-
-    fn close_flushed_span(&mut self, index: u64, end_ms: u64) {
-        if let Some(event) = self.spans.get_mut(&(index as usize)) {
-            if matches!(event.kind, EventKind::Span { .. }) {
-                event.kind = EventKind::Span {
-                    end_ms: Some(end_ms),
-                };
-            }
-        }
-    }
-
-    fn finish(&mut self, meta_line: &str, registry_jsonl: &str) -> String {
-        for (index, event) in &self.spans {
-            if let Some(slot) = self.lines.get_mut(*index) {
-                *slot = event.to_json();
-            }
-        }
-        let mut out = String::with_capacity(
-            meta_line.len()
-                + registry_jsonl.len()
-                + self.lines.iter().map(|l| l.len() + 1).sum::<usize>()
-                + 1,
-        );
-        out.push_str(meta_line);
-        out.push('\n');
-        for line in &self.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out.push_str(registry_jsonl);
-        out
-    }
-
-    fn boxed_clone(&self) -> Box<dyn TelemetrySink> {
-        Box::new(self.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Timeline;
+    use crate::event::EventKind;
+
+    fn streamed(sink: &StreamingJsonlSink) -> String {
+        let mut out = String::new();
+        sink.write_lines(&mut out);
+        out
+    }
 
     #[test]
     fn streams_points_and_patches_late_span_closes() {
@@ -168,30 +125,26 @@ mod tests {
         timeline.record(10, "tick", vec![("n", 1u64.into())]);
         timeline.record(20, "tick", vec![("n", 2u64.into())]);
 
-        let mut sink = StreamingJsonlSink::new();
+        let mut sink = StreamingJsonlSink::default();
         // Flush everything while the span is still open.
-        while let Some((index, event)) = timeline.pop_front() {
-            sink.flush_event(index as u64, &event);
-        }
+        sink.drain(&mut timeline, 0);
         timeline.close_span(span, 500);
-        for (index, end_ms) in timeline.take_late_closes() {
-            sink.close_flushed_span(index as u64, end_ms);
-        }
-        let out = sink.finish(r#"{"type":"meta","timeline_events":3}"#, "");
+        sink.drain(&mut timeline, 0);
+        let out = streamed(&sink);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(
-            lines[1],
+            lines[0],
             r#"{"type":"span","at_ms":0,"end_ms":500,"name":"replay","policy":"rr"}"#
         );
         assert_eq!(
-            lines[2],
+            lines[1],
             r#"{"type":"event","at_ms":10,"name":"tick","n":1}"#
         );
     }
 
     #[test]
     fn never_closed_spans_finish_with_a_null_end() {
-        let mut sink = StreamingJsonlSink::new();
+        let mut sink = StreamingJsonlSink::default();
         sink.flush_event(
             0,
             &TimelineEvent {
@@ -201,13 +154,12 @@ mod tests {
                 fields: vec![],
             },
         );
-        let out = sink.finish(r#"{"type":"meta","timeline_events":1}"#, "");
-        assert!(out.contains(r#""end_ms":null"#));
+        assert!(streamed(&sink).contains(r#""end_ms":null"#));
     }
 
     #[test]
     fn reclosing_a_flushed_span_updates_its_end() {
-        let mut sink = StreamingJsonlSink::new();
+        let mut sink = StreamingJsonlSink::default();
         sink.flush_event(
             0,
             &TimelineEvent {
@@ -218,7 +170,6 @@ mod tests {
             },
         );
         sink.close_flushed_span(0, 99);
-        let out = sink.finish("m", "");
-        assert!(out.contains(r#""end_ms":99"#));
+        assert!(streamed(&sink).contains(r#""end_ms":99"#));
     }
 }
