@@ -38,7 +38,7 @@ use std::process::ExitCode;
 
 use litmus_observe::jsonl::{parse_export, FlatRecord};
 use litmus_observe::{
-    BurnRateRule, CompletionSample, OnlineSloEngine, SloAlert, SloSpec, SloTransition,
+    completions, horizon_ms, BurnRateRule, OnlineSloEngine, SloAlert, SloSpec, SloTransition,
 };
 use litmus_telemetry::diff_report;
 
@@ -314,15 +314,11 @@ fn tail(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let samples = join_completions(&records);
-    let horizon = records
-        .iter()
-        .map(|r| {
-            let at = r.num("at_ms").unwrap_or(0.0) as u64;
-            at.max(r.num("end_ms").unwrap_or(0.0) as u64)
-        })
-        .max()
-        .unwrap_or(0);
+    // The online engine consumes completions in (completion, trace)
+    // order.
+    let mut samples = completions(&records);
+    samples.sort_by_key(|sample| (sample.completed_ms, sample.trace));
+    let horizon = horizon_ms(&records);
     println!(
         "tailing {path}: {} records, {} SLOs, {} completions, horizon {horizon} ms (slice {slice_ms} ms)",
         records.len(),
@@ -489,70 +485,6 @@ fn reconstruct_specs(records: &[FlatRecord]) -> Result<Vec<SloSpec>, String> {
         ));
     }
     Ok(specs)
-}
-
-/// Joins `trace.queue` spans and `trace.billed` events by trace id
-/// into completion samples, ascending by (completion, trace) — the
-/// feed order the online engine consumes.
-fn join_completions(records: &[FlatRecord]) -> Vec<CompletionSample> {
-    #[derive(Default)]
-    struct Partial {
-        queue: Option<(u64, u64, u64, u64)>,
-        billed: Option<(u64, u64, f64, f64)>,
-    }
-    let mut by_trace: BTreeMap<u64, Partial> = BTreeMap::new();
-    for record in records {
-        match record.name() {
-            "trace.queue" => {
-                let (Some(trace), Some(end)) = (record.num("trace"), record.num("end_ms")) else {
-                    continue;
-                };
-                by_trace.entry(trace as u64).or_default().queue = Some((
-                    record.num("at_ms").unwrap_or(0.0) as u64,
-                    end as u64,
-                    record.num("machine").unwrap_or(0.0) as u64,
-                    record.num("moves").unwrap_or(0.0) as u64,
-                ));
-            }
-            "trace.billed" => {
-                let Some(trace) = record.num("trace") else {
-                    continue;
-                };
-                by_trace.entry(trace as u64).or_default().billed = Some((
-                    record.num("at_ms").unwrap_or(0.0) as u64,
-                    record.num("tenant").unwrap_or(0.0) as u64,
-                    record.num("cost").unwrap_or(0.0),
-                    record.num("predicted").unwrap_or(0.0),
-                ));
-            }
-            _ => {}
-        }
-    }
-    let mut samples: Vec<CompletionSample> = by_trace
-        .into_iter()
-        .filter_map(|(trace, partial)| {
-            let (arrived_ms, launched_ms, machine, moves) = partial.queue?;
-            let (completed_ms, tenant, cost, predicted) = partial.billed?;
-            Some(CompletionSample {
-                trace,
-                tenant: tenant as u32,
-                machine,
-                arrived_ms,
-                launched_ms,
-                completed_ms,
-                wait_ms: launched_ms.saturating_sub(arrived_ms),
-                moves,
-                cost,
-                predicted,
-            })
-        })
-        .collect();
-    samples.sort_by(|a, b| {
-        a.completed_ms
-            .cmp(&b.completed_ms)
-            .then(a.trace.cmp(&b.trace))
-    });
-    samples
 }
 
 /// Compresses a burn-rate series into `width` columns (max within each

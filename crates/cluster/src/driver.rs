@@ -16,7 +16,7 @@ use crate::error::ClusterError;
 use crate::events::{EventQueue, ReplayEvent};
 use crate::machine::{CompletionRecord, Machine, MachineConfig, MachineId};
 use crate::policy::{MachineSnapshot, PlacementPolicy};
-use crate::pool::{panic_message, SteppingMode, WorkerPool};
+use crate::pool::{SteppingMode, WorkerPool};
 use crate::scale::{
     Autoscaler, AutoscalerConfig, ForecastSample, MachineLifetime, ScaleEvent, ScaleKind,
     ScalingPolicy,
@@ -36,8 +36,7 @@ pub struct ClusterConfig {
     pub slice_ms: u64,
     /// Worker threads stepping machines in parallel (1 = sequential).
     pub threads: usize,
-    /// How the stepping threads are managed (persistent pool vs
-    /// per-slice scoped threads).
+    /// The replay loop: slice stepping or discrete-event.
     pub stepping: SteppingMode,
     /// Instruction-count scale applied to served functions.
     pub serving_scale: f64,
@@ -57,9 +56,8 @@ impl ClusterConfig {
     ///
     /// * `LITMUS_POOL_THREADS` — stepping thread count (a positive
     ///   integer; anything else falls back to host parallelism);
-    /// * `LITMUS_STEPPING` — `pooled`, `scoped`, or
-    ///   `event`/`event-driven` (anything else falls back to the
-    ///   default mode).
+    /// * `LITMUS_STEPPING` — `pooled` or `event`/`event-driven`
+    ///   (anything else falls back to the default mode).
     ///
     /// Explicit [`ClusterConfig::threads`] / [`ClusterConfig::stepping`]
     /// builder calls still win — the variables only seed the defaults.
@@ -77,7 +75,6 @@ impl ClusterConfig {
             .ok()
             .and_then(|raw| match raw.trim() {
                 "pooled" => Some(SteppingMode::Pooled),
-                "scoped" => Some(SteppingMode::Scoped),
                 "event" | "event-driven" => Some(SteppingMode::EventDriven),
                 _ => None,
             })
@@ -389,32 +386,25 @@ impl Cluster {
                 machine.step_to(target_ms, &self.ctx)?;
             }
         }
-        let threads = self.threads.min(self.busy.len());
-        if threads <= 1 {
+        if self.threads.min(self.busy.len()) <= 1 {
             for &idx in &self.busy {
                 self.machines[idx].step_to(target_ms, &self.ctx)?;
             }
             return Ok(());
         }
         let started = profile.start();
-        let result = match self.stepping {
-            SteppingMode::Scoped => self.step_busy_scoped(target_ms, threads),
-            SteppingMode::Pooled | SteppingMode::EventDriven => {
-                // Size the pool by the configured thread count, not the
-                // current busy count: the pool lives as long as the
-                // cluster, and its step_all caps the shards it hands
-                // out by the busy count.
-                let workers = self.threads;
-                let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(workers));
-                pool.step_all(
-                    &mut self.machines,
-                    &self.busy,
-                    target_ms,
-                    &self.ctx,
-                    profile,
-                )
-            }
-        };
+        // Size the pool by the configured thread count, not the current
+        // busy count: the pool lives as long as the cluster, and its
+        // step_all caps the shards it hands out by the busy count.
+        let workers = self.threads;
+        let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(workers));
+        let result = pool.step_all(
+            &mut self.machines,
+            &self.busy,
+            target_ms,
+            &self.ctx,
+            profile,
+        );
         profile.stop("fan-out", started);
         result
     }
@@ -434,45 +424,6 @@ impl Cluster {
     /// every host.
     pub fn congestion_solves(&self) -> u64 {
         self.machines.iter().map(Machine::congestion_solves).sum()
-    }
-
-    /// The original scoped-thread stepping, kept so the
-    /// `cluster_throughput` bench can measure the pool against it:
-    /// spawns `threads` scoped threads over the busy machines and joins
-    /// them.
-    fn step_busy_scoped(&mut self, target_ms: u64, threads: usize) -> Result<()> {
-        let ctx = &self.ctx;
-        let busy = &self.busy;
-        let mut machines: Vec<&mut Machine> = self
-            .machines
-            .iter_mut()
-            .enumerate()
-            .filter(|(idx, _)| busy.binary_search(idx).is_ok())
-            .map(|(_, machine)| machine)
-            .collect();
-        let chunk_len = machines.len().div_ceil(threads);
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = machines
-                .chunks_mut(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        for machine in chunk {
-                            machine.step_to(target_ms, ctx)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle.join().unwrap_or_else(|panic| {
-                        Err(ClusterError::WorkerPanic(panic_message(&panic)))
-                    })
-                })
-                .collect()
-        });
-        results.into_iter().collect()
     }
 }
 
@@ -1016,9 +967,7 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
 
         match cluster.stepping {
             SteppingMode::EventDriven => self.run_event_driven(cluster, &mut source, &mut state)?,
-            SteppingMode::Pooled | SteppingMode::Scoped => {
-                self.run_slices(cluster, &mut source, &mut state)?
-            }
+            SteppingMode::Pooled => self.run_slices(cluster, &mut source, &mut state)?,
         }
         self.drain(cluster, &mut state)?;
 

@@ -1,18 +1,17 @@
 //! Persistent stepping workers for a [`crate::Cluster`].
 //!
-//! The original driver spawned scoped threads for every time-slice —
-//! thousands of spawn/join cycles per replay. The [`WorkerPool`] keeps
-//! the threads alive for the lifetime of the cluster instead. The
-//! cluster's one stepping funnel (`Cluster::step_all`) fast-forwards
-//! idle machines on the driver thread and steps a lone busy machine
-//! there too; only when two or more machines have quantum work does it
-//! hand those machines — and only those — to the pool. Each hand-off
-//! shards the busy machines across the workers over channels, steps
-//! the shards in parallel, and waits for them at a barrier (the driver
-//! blocks until every shard returns, so a boundary never overlaps the
-//! next dispatch round). Machines are fully independent state
-//! machines, so the sharding — and therefore the thread count — cannot
-//! change results: replays stay bit-identical from 1 thread to N.
+//! The [`WorkerPool`] keeps its threads alive for the lifetime of the
+//! cluster. The cluster's one stepping funnel (`Cluster::step_all`)
+//! fast-forwards idle machines on the driver thread and steps a lone
+//! busy machine there too; only when two or more machines have quantum
+//! work does it hand those machines — and only those — to the pool.
+//! Each hand-off shards the busy machines across the workers over
+//! channels, steps the shards in parallel, and waits for them at a
+//! barrier (the driver blocks until every shard returns, so a boundary
+//! never overlaps the next dispatch round). Machines are fully
+//! independent state machines, so the sharding — and therefore the
+//! thread count — cannot change results: replays stay bit-identical
+//! from 1 thread to N.
 
 use std::sync::mpsc::{channel, Receiver, SendError, Sender};
 use std::sync::Arc;
@@ -25,29 +24,25 @@ use crate::error::ClusterError;
 use crate::machine::Machine;
 use crate::Result;
 
-/// How the driver steps machines through each time-slice.
+/// How the driver walks a replay.
 ///
-/// Every mode steps through the same funnel: machines with no quantum
-/// work before the boundary fast-forward on the driver thread, and a
-/// lone busy machine is stepped there too. The modes differ in the
-/// replay loop and in how two or more busy machines are handed off.
+/// Both modes step machines through the same funnel and hand off to
+/// the same worker pool: machines with no quantum work before the
+/// boundary fast-forward on the driver thread, a lone busy machine is
+/// stepped there too, and two or more busy machines go to the pool.
+/// The modes differ only in the replay loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SteppingMode {
-    /// Slice stepping on a long-lived worker pool — the default. The
-    /// driver walks every slice boundary; busy machines are handed to
-    /// threads spawned once per cluster.
+    /// Slice stepping — the default, and the oracle. The driver walks
+    /// every slice boundary. (The name predates the event engine; both
+    /// modes use the pool.)
     #[default]
     Pooled,
-    /// Scoped threads spawned and joined for every hand-off — the
-    /// original design, kept for benchmarking the pool against.
-    Scoped,
     /// Discrete-event replay: the driver merges arrivals, completions,
     /// probe ticks, scale/boot events and forecast sampling points
     /// into one time-ordered queue and advances boundary-to-boundary.
-    /// Quiet stretches are bulk-skipped in O(1) per machine, and busy
-    /// machines are handed to the same worker pool as
-    /// [`SteppingMode::Pooled`]. Slice stepping remains the oracle:
-    /// event-driven replays are bit-identical to it (full
+    /// Quiet stretches are bulk-skipped in O(1) per machine. Event-
+    /// driven replays are bit-identical to slice stepping (full
     /// [`crate::ClusterReport`] and telemetry JSONL) at the same seed.
     EventDriven,
 }
@@ -213,7 +208,7 @@ fn worker_loop(jobs: Receiver<Job>, done: Sender<Done>) {
     }
 }
 
-pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -233,12 +228,47 @@ mod tests {
     }
 
     #[test]
-    fn empty_pool_step_is_a_no_op() {
+    fn a_failed_hand_off_returns_every_machine_and_keeps_the_pool() {
+        use litmus_core::{DiscountModel, TableBuilder};
+        use litmus_platform::TenantId;
+        use litmus_sim::MachineSpec;
+        use litmus_workloads::suite;
+
+        use crate::machine::{MachineConfig, MachineId};
+
+        let spec = MachineSpec::cascade_lake();
+        let tables = TableBuilder::new(spec.clone())
+            .levels([6, 14, 24])
+            .reference_scale(0.03)
+            .build()
+            .unwrap();
+        let model = DiscountModel::fit(&tables).unwrap();
+        let probe_language = tables.baselines()[0].language;
+        let ctx = Arc::new(ServingContext::new(tables, model, 0.05));
+        let mut machines: Vec<Machine> = (0..3)
+            .map(|i| {
+                let config = MachineConfig::new(2).seed(i as u64);
+                Machine::boot(MachineId(i), 0, spec.clone(), &config, probe_language, &ctx).unwrap()
+            })
+            .collect();
+        // Nothing warmed this function's solo oracle, so pricing its
+        // completion fails on whichever worker steps machine 1.
+        let function = suite::by_name("auth-py").unwrap();
+        assert!(!ctx.is_warmed(&function));
+        machines[1].dispatch(0, function, TenantId(0), None);
+
         let pool = WorkerPool::spawn(2);
-        assert_eq!(pool.workers(), 2);
-        // No ServingContext is needed when there are no machines, but
-        // step_all still wants one; exercised end-to-end in the
-        // integration tests instead. Here: dropping joins cleanly.
-        drop(pool);
+        let mut profile = StageProfile::default();
+        let failed = pool.step_all(&mut machines, &[0, 1, 2], 5_000, &ctx, &mut profile);
+        assert!(
+            matches!(failed, Err(ClusterError::UnknownFunction(_))),
+            "{failed:?}"
+        );
+        let ids: Vec<MachineId> = machines.iter().map(Machine::id).collect();
+        assert_eq!(ids, [MachineId(0), MachineId(1), MachineId(2)]);
+
+        // The pool survives its error: the next hand-off goes through.
+        pool.step_all(&mut machines, &[0, 2], 10_000, &ctx, &mut profile)
+            .unwrap();
     }
 }

@@ -161,7 +161,7 @@ fn stealing_is_deterministic_across_thread_counts_and_modes() {
         driver(),
         skewed_config(4, 6)
             .threads(4)
-            .stepping(litmus_cluster::SteppingMode::Scoped),
+            .stepping(litmus_cluster::SteppingMode::EventDriven),
         &trace,
     );
     assert_eq!(a.placements, b.placements);

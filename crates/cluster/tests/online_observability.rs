@@ -208,11 +208,7 @@ fn streamed_export_is_byte_identical_across_engines_threads_and_sources() {
     );
 
     const KEEP: usize = 96;
-    for stepping in [
-        SteppingMode::Pooled,
-        SteppingMode::Scoped,
-        SteppingMode::EventDriven,
-    ] {
+    for stepping in [SteppingMode::Pooled, SteppingMode::EventDriven] {
         for threads in [1, 4] {
             let config = skewed_config(4, threads).stepping(stepping);
             let (streamed, _) = replay(full_driver(Some(KEEP)), config, &trace);

@@ -268,11 +268,10 @@ fn replays_are_deterministic_per_policy_and_thread_count() {
     assert_eq!(a.billing, b.billing);
     assert_eq!(a.mean_predicted_slowdown, b.mean_predicted_slowdown);
 
-    // The persistent worker pool and the legacy scoped-thread stepping
-    // are bit-identical too.
+    // Slice stepping and the event engine are bit-identical too.
     let c = replay(
         LitmusAware::new(),
-        skewed_config(4, 4).stepping(litmus_cluster::SteppingMode::Scoped),
+        skewed_config(4, 4).stepping(litmus_cluster::SteppingMode::EventDriven),
         &trace,
     );
     assert_eq!(a.placements, c.placements);

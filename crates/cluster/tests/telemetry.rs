@@ -114,20 +114,20 @@ fn timeline_jsonl_is_byte_identical_across_thread_counts_and_modes() {
     let trace = bursty_trace(2_000, 17);
     let one = run(full_driver(), skewed_config(4, 1), &trace);
     let four = run(full_driver(), skewed_config(4, 4), &trace);
-    let scoped = run(
+    let event = run(
         full_driver(),
-        skewed_config(4, 4).stepping(SteppingMode::Scoped),
+        skewed_config(4, 4).stepping(SteppingMode::EventDriven),
         &trace,
     );
     let a = one.timeline_jsonl();
     assert!(!one.timeline().is_empty());
     assert_eq!(a, four.timeline_jsonl());
-    assert_eq!(a, scoped.timeline_jsonl());
+    assert_eq!(a, event.timeline_jsonl());
     // Telemetry equality (which skips the wall-clock profile) and full
     // report equality must both hold.
     assert_eq!(one.telemetry(), four.telemetry());
     assert_eq!(one, four);
-    assert_eq!(one, scoped);
+    assert_eq!(one, event);
 }
 
 #[test]

@@ -4,9 +4,8 @@
 //! The table below IS the layering spec: adding a crate or an edge
 //! means editing it here, in a reviewed diff, next to the rule that
 //! enforces it. Only first-party `litmus-*` dependencies are checked —
-//! the vendored shims (`rand`, `proptest`, `criterion`) sit outside
-//! the DAG, and `[dev-dependencies]` are exempt because tests may
-//! cross layers.
+//! the vendored shims (`rand`, `proptest`) sit outside the DAG, and
+//! `[dev-dependencies]` are exempt because tests may cross layers.
 
 use crate::report::Violation;
 use crate::rules::LAYERING;

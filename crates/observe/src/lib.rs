@@ -59,7 +59,7 @@ pub use slo::{
     Alert, BurnRateRule, OnlineSloEngine, SloAlert, SloEngine, SloKind, SloReport, SloSeries,
     SloSpec, SloTransition,
 };
-pub use spans::{completions, horizon_ms, CompletionSample};
+pub use spans::{completions, horizon_ms, CompletionSample, TimelineRecord};
 
 // The telemetry vocabulary reports are written in, re-exported so
 // `litmus_observe` users don't need a direct `litmus-telemetry` dep.

@@ -8,11 +8,15 @@
 //! This module joins those records by trace id back into one
 //! [`CompletionSample`] per completed invocation — the unit everything
 //! downstream (SLO evaluation, fairness rollups, exemplar queries)
-//! aggregates over.
+//! aggregates over. The join reads records through [`TimelineRecord`], so
+//! a timeline in memory and its JSONL export parsed back
+//! ([`FlatRecord`]) give the same samples.
 
 use std::collections::BTreeMap;
 
-use litmus_telemetry::{EventKind, FieldValue, Timeline, TimelineEvent};
+use litmus_telemetry::{EventKind, FieldValue, TimelineEvent};
+
+use crate::jsonl::FlatRecord;
 
 /// One completed, sampled invocation, re-joined from its span chain.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,66 +43,122 @@ pub struct CompletionSample {
     pub predicted: f64,
 }
 
+/// The view of one timeline record that [`completions`] and
+/// [`horizon_ms`] read: a [`TimelineEvent`] in memory, or a
+/// [`FlatRecord`] parsed from the JSONL export.
+pub trait TimelineRecord {
+    /// The record's name (`trace.queue`, `trace.billed`, …).
+    fn name(&self) -> &str;
+    /// Sim time the record is stamped at (a span's start), ms.
+    fn at_ms(&self) -> u64;
+    /// A closed span's end, ms; `None` for point events and open spans.
+    fn end_ms(&self) -> Option<u64>;
+    /// A field as an unsigned integer (ids and timestamps).
+    fn u64_field(&self, key: &str) -> Option<u64>;
+    /// A field as a float (integer encodings included).
+    fn f64_field(&self, key: &str) -> Option<f64>;
+}
+
 /// Looks up a field by key on a timeline event.
-pub(crate) fn field<'a>(event: &'a TimelineEvent, key: &str) -> Option<&'a FieldValue> {
+fn field<'a>(event: &'a TimelineEvent, key: &str) -> Option<&'a FieldValue> {
     event.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
-/// A field as an unsigned integer (`U64` only; ids and timestamps).
-pub(crate) fn field_u64(event: &TimelineEvent, key: &str) -> Option<u64> {
-    match field(event, key)? {
-        FieldValue::U64(v) => Some(*v),
-        _ => None,
+impl TimelineRecord for TimelineEvent {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn at_ms(&self) -> u64 {
+        self.at_ms
+    }
+
+    fn end_ms(&self) -> Option<u64> {
+        match self.kind {
+            EventKind::Span { end_ms } => end_ms,
+            EventKind::Point => None,
+        }
+    }
+
+    fn u64_field(&self, key: &str) -> Option<u64> {
+        match field(self, key)? {
+            FieldValue::U64(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    fn f64_field(&self, key: &str) -> Option<f64> {
+        match field(self, key)? {
+            FieldValue::F64(v) => Some(*v),
+            FieldValue::U64(v) => Some(*v as f64),
+            FieldValue::I64(v) => Some(*v as f64),
+            _ => None,
+        }
     }
 }
 
-/// A field as a float (accepting integer encodings too).
-pub(crate) fn field_f64(event: &TimelineEvent, key: &str) -> Option<f64> {
-    match field(event, key)? {
-        FieldValue::F64(v) => Some(*v),
-        FieldValue::U64(v) => Some(*v as f64),
-        FieldValue::I64(v) => Some(*v as f64),
-        _ => None,
+impl TimelineRecord for FlatRecord {
+    fn name(&self) -> &str {
+        FlatRecord::name(self)
+    }
+
+    fn at_ms(&self) -> u64 {
+        self.u64_field("at_ms").unwrap_or(0)
+    }
+
+    fn end_ms(&self) -> Option<u64> {
+        self.u64_field("end_ms")
+    }
+
+    fn u64_field(&self, key: &str) -> Option<u64> {
+        self.num(key)
+            .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+            .map(|n| n as u64)
+    }
+
+    fn f64_field(&self, key: &str) -> Option<f64> {
+        self.num(key)
     }
 }
 
-/// Joins a replay timeline's `trace.queue` / `trace.billed` records
-/// into one [`CompletionSample`] per completed invocation, ascending
-/// by trace id. Invocations still queued or in flight at replay end
-/// have no `trace.billed` record and are omitted.
-pub fn completions(timeline: &Timeline) -> Vec<CompletionSample> {
+/// Joins the `trace.queue` / `trace.billed` records of a timeline (or
+/// of its parsed export) into one [`CompletionSample`] per completed
+/// invocation, ascending by trace id. Invocations still queued or in
+/// flight at replay end have no `trace.billed` record and are omitted,
+/// as are records missing their trace, machine or tenant.
+pub fn completions<'a, R: TimelineRecord + 'a>(
+    records: impl IntoIterator<Item = &'a R>,
+) -> Vec<CompletionSample> {
     #[derive(Default)]
     struct Partial {
         queue: Option<(u64, u64, u64, u64)>, // arrived, launched, machine, moves
         billed: Option<(u64, u64, f64, f64)>, // completed, tenant, cost, predicted
     }
     let mut by_trace: BTreeMap<u64, Partial> = BTreeMap::new();
-    for event in timeline.events() {
-        match event.name {
+    for record in records {
+        match record.name() {
             "trace.queue" => {
-                let (Some(trace), Some(machine)) =
-                    (field_u64(event, "trace"), field_u64(event, "machine"))
-                else {
+                let (Some(trace), Some(machine), Some(launched)) = (
+                    record.u64_field("trace"),
+                    record.u64_field("machine"),
+                    record.end_ms(),
+                ) else {
                     continue;
                 };
-                let launched = match event.kind {
-                    EventKind::Span { end_ms: Some(end) } => end,
-                    _ => continue,
-                };
-                let moves = field_u64(event, "moves").unwrap_or(0);
+                let moves = record.u64_field("moves").unwrap_or(0);
                 by_trace.entry(trace).or_default().queue =
-                    Some((event.at_ms, launched, machine, moves));
+                    Some((record.at_ms(), launched, machine, moves));
             }
             "trace.billed" => {
                 let (Some(trace), Some(tenant)) =
-                    (field_u64(event, "trace"), field_u64(event, "tenant"))
+                    (record.u64_field("trace"), record.u64_field("tenant"))
                 else {
                     continue;
                 };
-                let cost = field_f64(event, "cost").unwrap_or(0.0);
-                let predicted = field_f64(event, "predicted").unwrap_or(0.0);
+                let cost = record.f64_field("cost").unwrap_or(0.0);
+                let predicted = record.f64_field("predicted").unwrap_or(0.0);
                 by_trace.entry(trace).or_default().billed =
-                    Some((event.at_ms, tenant, cost, predicted));
+                    Some((record.at_ms(), tenant, cost, predicted));
             }
             _ => {}
         }
@@ -124,16 +184,12 @@ pub fn completions(timeline: &Timeline) -> Vec<CompletionSample> {
         .collect()
 }
 
-/// The largest sim timestamp on the timeline (span ends included) —
-/// the horizon SLO evaluation runs to. Zero for an empty timeline.
-pub fn horizon_ms(timeline: &Timeline) -> u64 {
-    timeline
-        .events()
-        .iter()
-        .map(|event| match event.kind {
-            EventKind::Span { end_ms: Some(end) } => event.at_ms.max(end),
-            _ => event.at_ms,
-        })
+/// The largest sim timestamp among `records` (span ends included) —
+/// the horizon SLO evaluation runs to. Zero when there are none.
+pub fn horizon_ms<'a, R: TimelineRecord + 'a>(records: impl IntoIterator<Item = &'a R>) -> u64 {
+    records
+        .into_iter()
+        .map(|record| record.at_ms().max(record.end_ms().unwrap_or(0)))
         .max()
         .unwrap_or(0)
 }
@@ -141,6 +197,8 @@ pub fn horizon_ms(timeline: &Timeline) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsonl::parse_line;
+    use litmus_telemetry::Timeline;
 
     fn chain(
         timeline: &mut Timeline,
@@ -211,6 +269,29 @@ mod tests {
             vec![("trace", 9u64.into()), ("machine", 0u64.into())],
         );
         assert_eq!(completions(&timeline).len(), 1);
+    }
+
+    #[test]
+    fn parsed_export_joins_like_the_timeline() {
+        let mut timeline = Timeline::new();
+        chain(&mut timeline, 3, 7, 100, 140, 200);
+        chain(&mut timeline, 1, 2, 50, 50, 90);
+        // Trace 9 arrived but never completed: queue span only.
+        timeline.span(
+            "trace.queue",
+            40,
+            60,
+            vec![("trace", 9u64.into()), ("machine", 0u64.into())],
+        );
+        let parsed: Vec<FlatRecord> = timeline
+            .events()
+            .iter()
+            .map(|event| parse_line(&event.to_json()).unwrap())
+            .collect();
+        let joined = completions(&timeline);
+        assert_eq!(joined.len(), 2);
+        assert_eq!(completions(&parsed), joined);
+        assert_eq!(horizon_ms(&parsed), horizon_ms(&timeline));
     }
 
     #[test]

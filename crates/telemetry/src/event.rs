@@ -332,6 +332,16 @@ impl Timeline {
     }
 }
 
+/// Iterates the retained records, as [`Timeline::events`] lists them.
+impl<'a> IntoIterator for &'a Timeline {
+    type Item = &'a TimelineEvent;
+    type IntoIter = std::slice::Iter<'a, TimelineEvent>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.events().iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
