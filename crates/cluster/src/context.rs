@@ -5,23 +5,36 @@ use litmus_core::{
     PricingTables,
 };
 use litmus_platform::InvocationTrace;
-use litmus_sim::{ExecutionReport, MachineSpec, Placement, PmuCounters, Simulator};
+use litmus_sim::{
+    ExecutionProfile, ExecutionReport, MachineSpec, Placement, PmuCounters, Simulator,
+};
 use litmus_workloads::Benchmark;
 
 use crate::error::ClusterError;
 use crate::Result;
 
-/// Everything a machine needs to turn a completed invocation into an
-/// [`Invoice`], shared read-only across all machines while they step in
-/// parallel: the fitted discount model, the calibration tables (probe
-/// baselines) and a solo-oracle cache for the ideal-price comparison.
+/// Everything a machine needs to launch an invocation and turn its
+/// completion into an [`Invoice`], shared read-only across all machines
+/// while they step in parallel: the fitted discount model, the
+/// calibration tables (probe baselines) and, per warmed function, the
+/// scaled profile every launch runs and the solo-oracle counters for
+/// the ideal-price comparison.
 #[derive(Debug, Clone)]
 pub struct ServingContext {
     pricing: LitmusPricing,
     model: DiscountModel,
     tables: PricingTables,
     scale: f64,
-    solo: BTreeMap<&'static str, PmuCounters>,
+    warmed: BTreeMap<&'static str, Warmed>,
+}
+
+/// One warmed function: its profile scaled by the context's scale,
+/// built once and shared by every launch (an `Arc` clone), and the
+/// counters of that profile's solo run.
+#[derive(Debug, Clone)]
+struct Warmed {
+    profile: ExecutionProfile,
+    solo: PmuCounters,
 }
 
 impl ServingContext {
@@ -35,13 +48,8 @@ impl ServingContext {
             model,
             tables,
             scale,
-            solo: BTreeMap::new(),
+            warmed: BTreeMap::new(),
         }
-    }
-
-    /// The configured profile scale.
-    pub fn scale(&self) -> f64 {
-        self.scale
     }
 
     /// The calibration tables (probe baselines, congestion index).
@@ -54,13 +62,13 @@ impl ServingContext {
         &self.model
     }
 
-    /// Populates the solo-oracle cache for every distinct function in
-    /// `trace` by running each alone on an idle `spec` machine — the
-    /// offline profiling pass a provider would do once per deployment.
+    /// Warms every distinct function in `trace` with
+    /// [`ServingContext::warm_function`] — the offline profiling pass a
+    /// provider would do once per deployment.
     ///
     /// Streaming replays don't pre-scan a materialized trace; they call
     /// [`ServingContext::warm_function`] lazily instead. Both paths
-    /// produce identical oracles: each solo run happens on its own
+    /// produce identical entries: each solo run happens on its own
     /// fresh simulator, so warming order cannot matter.
     ///
     /// # Errors
@@ -73,20 +81,23 @@ impl ServingContext {
         Ok(())
     }
 
-    /// Whether `function`'s solo oracle is already cached.
+    /// Whether `function` is already warmed.
     pub fn is_warmed(&self, function: &Benchmark) -> bool {
-        self.solo.contains_key(function.name())
+        self.warmed.contains_key(function.name())
     }
 
-    /// Runs `function` alone on an idle `spec` machine and caches its
-    /// solo counters (no-op when already cached).
+    /// Warms `function` (no-op when already warmed): builds its profile
+    /// at the context's scale, runs it alone on an idle `spec` machine,
+    /// and keeps both the profile, which every later launch of
+    /// `function` runs, and the solo counters, which price its
+    /// completions.
     ///
     /// # Errors
     ///
     /// Propagates solo-run failures.
     pub fn warm_function(&mut self, spec: &MachineSpec, function: &Benchmark) -> Result<()> {
         let name = function.name();
-        if self.solo.contains_key(name) {
+        if self.warmed.contains_key(name) {
             return Ok(());
         }
         let mut sim = Simulator::new(spec.clone());
@@ -95,19 +106,36 @@ impl ServingContext {
             .scaled(self.scale)
             .map_err(litmus_core::CoreError::from)?;
         let id = sim
-            .launch(profile, Placement::pinned(0))
+            .launch(profile.clone(), Placement::pinned(0))
             .map_err(litmus_core::CoreError::from)?;
-        let counters = sim
+        let solo = sim
             .run_to_completion(id)
             .map_err(litmus_core::CoreError::from)?
             .counters;
-        self.solo.insert(name, counters);
+        self.warmed.insert(name, Warmed { profile, solo });
         Ok(())
     }
 
-    /// Number of functions with a warmed solo oracle.
+    /// Number of warmed functions.
     pub fn warmed_functions(&self) -> usize {
-        self.solo.len()
+        self.warmed.len()
+    }
+
+    /// The scaled profile a launch of `function` runs, shared with every
+    /// other launch of it.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::UnknownFunction`] when `function` was never
+    /// warmed.
+    pub(crate) fn profile(&self, function: &Benchmark) -> Result<ExecutionProfile> {
+        Ok(self.entry(function)?.profile.clone())
+    }
+
+    fn entry(&self, function: &Benchmark) -> Result<&Warmed> {
+        self.warmed
+            .get(function.name())
+            .ok_or(ClusterError::UnknownFunction(function.name()))
     }
 
     /// Prices one completed invocation and returns the invoice plus the
@@ -117,14 +145,11 @@ impl ServingContext {
     ///
     /// # Errors
     ///
-    /// * [`ClusterError::UnknownFunction`] when the cache was not
-    ///   warmed with this function;
+    /// * [`ClusterError::UnknownFunction`] when `function` was never
+    ///   warmed;
     /// * propagated probe/pricing failures.
     pub fn price(&self, function: &Benchmark, report: &ExecutionReport) -> Result<(Invoice, f64)> {
-        let solo = self
-            .solo
-            .get(function.name())
-            .ok_or(ClusterError::UnknownFunction(function.name()))?;
+        let solo = &self.entry(function)?.solo;
         let baseline = self.tables.baseline(function.language())?;
         let startup = report
             .startup

@@ -19,8 +19,9 @@ pub enum ClusterError {
     /// A worker thread panicked while stepping its machines (the panic
     /// message is preserved when it was a string).
     WorkerPanic(String),
-    /// An invocation arrived for a function the serving context was not
-    /// warmed with (no solo oracle entry).
+    /// A function the serving context was never warmed with (it holds
+    /// no scaled profile and no solo oracle for it). Launching it fails,
+    /// and the arrival stays queued on its machine.
     UnknownFunction(&'static str),
     /// An autoscaler configuration had incoherent water marks or
     /// machine bounds.
@@ -39,11 +40,9 @@ impl fmt::Display for ClusterError {
             ClusterError::WorkerPanic(msg) => {
                 write!(f, "cluster worker thread panicked: {msg}")
             }
-            ClusterError::UnknownFunction(name) => write!(
-                f,
-                "function {name} missing from the serving context's solo \
-                 oracle cache"
-            ),
+            ClusterError::UnknownFunction(name) => {
+                write!(f, "function {name} was never warmed in the serving context")
+            }
             ClusterError::InvalidAutoscale(why) => {
                 write!(f, "invalid autoscaler configuration: {why}")
             }

@@ -372,7 +372,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates launch, backfill and pricing failures.
+    /// * [`crate::ClusterError::UnknownFunction`] when a queued arrival's
+    ///   function was never warmed in `ctx`; the arrival stays queued.
+    /// * Propagated launch, backfill and pricing failures.
     pub fn step_to(&mut self, cluster_ms: u64, ctx: &ServingContext) -> Result<()> {
         let target = self.local_ms(cluster_ms);
         while self.harness.sim().now_ms() < target {
@@ -419,7 +421,9 @@ impl Machine {
     }
 
     /// Launches queued arrivals whose time has come, while the
-    /// concurrency cap allows.
+    /// concurrency cap allows, each running the profile `ctx` warmed
+    /// for its function. An arrival leaves the queue only once it has
+    /// launched, so a failed launch leaves it queued.
     fn launch_due(&mut self, ctx: &ServingContext) -> Result<()> {
         let now = self.harness.sim().now_ms();
         while self.inflight.len() < self.max_inflight {
@@ -429,15 +433,10 @@ impl Machine {
             if self.local_ms(front.launch_at_ms) > now {
                 break;
             }
+            let id = self.harness.submit(ctx.profile(&front.function)?)?;
             let Some(arrival) = self.queue.pop_front() else {
                 break;
             };
-            let profile = arrival
-                .function
-                .profile()
-                .scaled(ctx.scale())
-                .map_err(litmus_core::CoreError::from)?;
-            let id = self.harness.submit(profile)?;
             let launched_cluster_ms = self.cluster_now_ms();
             self.queue_wait_sum_ms +=
                 (launched_cluster_ms.saturating_sub(arrival.launch_at_ms)) as f64;
@@ -568,5 +567,41 @@ impl Machine {
     /// The underlying harness, for inspection.
     pub fn harness(&self) -> &CoRunHarness {
         &self.harness
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use litmus_core::{DiscountModel, TableBuilder};
+    use litmus_workloads::suite;
+
+    use super::*;
+    use crate::error::ClusterError;
+
+    #[test]
+    fn launching_an_unwarmed_function_fails_and_leaves_it_queued() {
+        let spec = MachineSpec::cascade_lake();
+        let tables = TableBuilder::new(spec.clone())
+            .levels([6, 14, 24])
+            .reference_scale(0.03)
+            .build()
+            .unwrap();
+        let model = DiscountModel::fit(&tables).unwrap();
+        let probe_language = tables.baselines()[0].language;
+        let ctx = ServingContext::new(tables, model, 0.05);
+        let config = MachineConfig::new(2);
+        let mut machine =
+            Machine::boot(MachineId(0), 0, spec, &config, probe_language, &ctx).unwrap();
+        let function = suite::by_name("auth-py").unwrap();
+        assert!(!ctx.is_warmed(&function));
+        machine.dispatch(0, function, TenantId(0), None);
+
+        let failed = machine.step_to(5_000, &ctx);
+        assert!(
+            matches!(failed, Err(ClusterError::UnknownFunction("auth-py"))),
+            "{failed:?}"
+        );
+        assert_eq!(machine.outstanding(), 1, "the arrival must stay queued");
+        assert_eq!(machine.launched(), 0);
     }
 }

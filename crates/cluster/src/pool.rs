@@ -251,8 +251,8 @@ mod tests {
                 Machine::boot(MachineId(i), 0, spec.clone(), &config, probe_language, &ctx).unwrap()
             })
             .collect();
-        // Nothing warmed this function's solo oracle, so pricing its
-        // completion fails on whichever worker steps machine 1.
+        // Nothing warmed this function's solo oracle, so launching it
+        // fails on whichever worker steps machine 1.
         let function = suite::by_name("auth-py").unwrap();
         assert!(!ctx.is_warmed(&function));
         machines[1].dispatch(0, function, TenantId(0), None);

@@ -4,7 +4,9 @@ use litmus_core::{
     BillingLedger, CommercialPricing, IdealPricing, Invoice, LitmusPricing, LitmusReading,
     PricingTables,
 };
-use litmus_sim::{Event, InstanceId, MachineSpec, Placement, PmuCounters, Simulator};
+use litmus_sim::{
+    Event, ExecutionProfile, InstanceId, MachineSpec, Placement, PmuCounters, Simulator,
+};
 use litmus_workloads::{Benchmark, WorkloadMix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -782,8 +784,8 @@ impl TraceDriver {
     }
 
     /// Replays `trace`, pricing every completed invocation with
-    /// `pricing` (tables supply probe baselines and solo oracles are
-    /// cached per function).
+    /// `pricing` (tables supply probe baselines; each function's scaled
+    /// profile and solo oracle are built once).
     ///
     /// Equivalent to [`TraceDriver::replay_source`] on
     /// [`InvocationTrace::source`].
@@ -806,8 +808,9 @@ impl TraceDriver {
     /// never materialized and event buffering stays proportional to
     /// the invocations in flight. (The returned [`TraceOutcome`] still
     /// records one invoice and one latency sample per completion, so
-    /// the *outcome* grows with the trace.) Solo oracles are warmed
-    /// lazily, the first time each function appears.
+    /// the *outcome* grows with the trace.) Each function's scaled
+    /// profile and solo oracle are built lazily, the first time it
+    /// appears, and every launch of it shares that profile.
     ///
     /// Bit-identical to materializing the source first and calling
     /// [`TraceDriver::replay`] — warming order cannot affect results
@@ -833,9 +836,10 @@ impl TraceDriver {
         let mut source = ChunkedSource::new(source);
         let mut sim = Simulator::new(self.spec.clone());
 
-        // Solo oracle cache, one entry per distinct function, filled
-        // lazily as functions first appear in the stream.
-        let mut solo_cache: BTreeMap<&'static str, PmuCounters> = BTreeMap::new();
+        // One entry per distinct function, filled lazily as functions
+        // first appear in the stream: the scaled profile every launch of
+        // it runs, and that profile's solo-oracle counters.
+        let mut warmed: BTreeMap<&'static str, (ExecutionProfile, PmuCounters)> = BTreeMap::new();
         let mut pending: BTreeMap<InstanceId, Benchmark> = BTreeMap::new();
         let mut ledger = BillingLedger::new();
         let mut latencies = Vec::new();
@@ -845,15 +849,14 @@ impl TraceDriver {
             // Launch everything that has arrived by now.
             while let Some(event) = source.next_before(sim.now_ms() + 1) {
                 let name = event.function.name();
-                if !solo_cache.contains_key(name) {
+                if !warmed.contains_key(name) {
                     let mut solo_sim = Simulator::new(self.spec.clone());
                     let profile = event.function.profile().scaled(self.scale)?;
-                    let id = solo_sim.launch(profile, Placement::pinned(0))?;
+                    let id = solo_sim.launch(profile.clone(), Placement::pinned(0))?;
                     let counters = solo_sim.run_to_completion(id)?.counters;
-                    solo_cache.insert(name, counters);
+                    warmed.insert(name, (profile, counters));
                 }
-                let profile = event.function.profile().scaled(self.scale)?;
-                let id = sim.launch(profile, placement.clone())?;
+                let id = sim.launch(warmed[name].0.clone(), placement.clone())?;
                 last_arrival_ms = last_arrival_ms.max(event.at_ms);
                 pending.insert(id, event.function);
             }
@@ -875,7 +878,7 @@ impl TraceDriver {
                     .ok_or(litmus_core::CoreError::NoStartup)?;
                 let reading = LitmusReading::from_startup(baseline, startup)?;
                 let counters = report.counters;
-                let solo = solo_cache[bench.name()];
+                let solo = warmed[bench.name()].1;
                 latencies.push(report.wall_ms());
                 ledger.record(Invoice {
                     function: bench.name().to_owned(),

@@ -26,6 +26,8 @@ pub struct WorkloadMix {
     pool: Vec<Benchmark>,
     rng: StdRng,
     scale: f64,
+    /// `pool[i]`'s profile at `scale`, built on its first draw.
+    profiles: Vec<Option<ExecutionProfile>>,
 }
 
 impl WorkloadMix {
@@ -37,6 +39,7 @@ impl WorkloadMix {
             return None;
         }
         Some(WorkloadMix {
+            profiles: vec![None; pool.len()],
             pool,
             rng: StdRng::seed_from_u64(seed),
             scale: 1.0,
@@ -56,6 +59,7 @@ impl WorkloadMix {
             "scale must be positive and finite"
         );
         self.scale = scale;
+        self.profiles.fill(None);
         self
     }
 
@@ -66,22 +70,35 @@ impl WorkloadMix {
 
     /// Draws the next random benchmark.
     pub fn next_benchmark(&mut self) -> &Benchmark {
-        let idx = self.rng.gen_range(0..self.pool.len());
+        let idx = self.next_index();
         &self.pool[idx]
     }
 
-    /// Draws the next random benchmark and builds its profile, applying
-    /// the configured scale.
+    /// Draws the next random benchmark and returns its profile, applying
+    /// the configured scale. Each pool entry's profile is built once, on
+    /// its first draw; later draws of it return a clone of the same
+    /// shared profile. The draws themselves match
+    /// [`WorkloadMix::next_benchmark`]'s.
     pub fn next_profile(&mut self) -> ExecutionProfile {
+        let idx = self.next_index();
         let scale = self.scale;
-        let profile = self.next_benchmark().profile();
-        if scale == 1.0 {
-            profile
-        } else {
-            profile
-                .scaled(scale)
-                .expect("scale validated in with_scale") // lint:allow(panic-in-lib): with_scale rejected non-finite scale before storing it
-        }
+        let benchmark = &self.pool[idx];
+        self.profiles[idx]
+            .get_or_insert_with(|| {
+                let profile = benchmark.profile();
+                if scale == 1.0 {
+                    profile
+                } else {
+                    profile
+                        .scaled(scale)
+                        .expect("scale validated in with_scale") // lint:allow(panic-in-lib): with_scale rejected non-finite scale before storing it
+                }
+            })
+            .clone()
+    }
+
+    fn next_index(&mut self) -> usize {
+        self.rng.gen_range(0..self.pool.len())
     }
 }
 

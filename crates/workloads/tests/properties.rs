@@ -67,6 +67,36 @@ proptest! {
         );
     }
 
+    /// Memoized co-runner draws equal fresh builds: each
+    /// `next_profile()` is the profile of the pool entry a same-seed
+    /// mix's `next_benchmark()` draws, scaled when the scale is not 1.0.
+    /// Draws made before `with_scale` run at 1.0, so the memo must be
+    /// dropped when the scale changes.
+    #[test]
+    fn memoized_profiles_equal_fresh_builds(
+        seed in 0u64..1_000_000,
+        (before, after) in (0usize..40, 1usize..120),
+        scale in (0u32..2, 0.01f64..5.0).prop_map(|(pick, s)| if pick == 0 { 1.0 } else { s }),
+    ) {
+        let pool = suite::benchmarks();
+        let mut memo = WorkloadMix::new(pool.clone(), seed).unwrap();
+        let mut fresh = WorkloadMix::new(pool.clone(), seed).unwrap();
+        for n in 0..before + after {
+            let at = if n < before { 1.0 } else { scale };
+            if n == before && scale != 1.0 {
+                memo = memo.with_scale(scale);
+            }
+            let drawn = fresh.next_benchmark();
+            let i = pool.iter().position(|b| b == drawn).unwrap();
+            let expected = if at == 1.0 {
+                pool[i].profile()
+            } else {
+                pool[i].profile().scaled(at).unwrap()
+            };
+            prop_assert_eq!(memo.next_profile(), expected);
+        }
+    }
+
     /// Generator thread profiles scale linearly with duration and keep
     /// their defining character at any duration.
     #[test]

@@ -197,3 +197,74 @@ fn streaming_platform_replay_matches_materialized() {
     assert_eq!(materialized, streamed);
     assert_eq!(materialized.ledger.len(), trace.len());
 }
+
+/// FNV-1a over the little-endian bytes of every folded word, as in
+/// `crates/sim/tests/golden.rs`.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn u64(&mut self, value: u64) {
+        for byte in value.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn f64(&mut self, value: f64) {
+        self.u64(value.to_bits());
+    }
+
+    fn counters(&mut self, c: &PmuCounters) {
+        self.f64(c.cycles);
+        self.f64(c.instructions);
+        self.f64(c.stall_l2_cycles);
+        self.f64(c.l2_misses);
+        self.f64(c.l3_misses);
+        self.f64(c.context_switches);
+    }
+
+    fn price(&mut self, p: &Price) {
+        self.f64(p.private);
+        self.f64(p.shared);
+    }
+}
+
+#[test]
+fn platform_replay_outcome_is_pinned() {
+    // The thinned, compressed fixture streamed through the
+    // single-machine metering pipeline: every invoice (function,
+    // counters and all three prices, in completion order), the
+    // unfinished count and the mean latency, folded bit for bit. Any
+    // change to what a launch runs or how it is priced moves it.
+    let (tables, model) = calibration();
+    let pricing = LitmusPricing::new(model);
+    let outcome = litmus::platform::TraceDriver::new(MachineSpec::cascade_lake(), 8)
+        .scale(0.04)
+        .drain_ms(30_000)
+        .replay_source(streaming_source(), &pricing, &tables)
+        .unwrap();
+    let mut digest = Digest::new();
+    for invoice in outcome.ledger.invoices() {
+        for byte in invoice.function.bytes() {
+            digest.u64(u64::from(byte));
+        }
+        digest.counters(&invoice.counters);
+        digest.price(&invoice.commercial);
+        digest.price(&invoice.litmus);
+        digest.price(&invoice.ideal);
+    }
+    digest.u64(outcome.ledger.len() as u64);
+    digest.u64(outcome.unfinished as u64);
+    digest.f64(outcome.mean_latency_ms);
+    assert_eq!(outcome.ledger.len(), 533);
+    assert_eq!(outcome.unfinished, 0);
+    assert_eq!(
+        digest.0, 0xF0E8_7295_FCC0_0D1E,
+        "platform replay digest moved: {:#018x}",
+        digest.0
+    );
+}
