@@ -59,6 +59,20 @@ pub trait TraceSource {
     /// is exhausted.
     fn next_event(&mut self) -> Option<TraceEvent>;
 
+    /// Consumes exactly the event [`TraceSource::next_event`] would
+    /// have yielded and returns its arrival time, or `None` once the
+    /// trace is exhausted. Afterwards the source is where one
+    /// `next_event` call would have left it, so any interleaving of
+    /// the two methods walks the same time sequence.
+    ///
+    /// A consumer that drops an event by position alone (rate
+    /// thinning) calls this instead, and a source that builds events
+    /// lazily overrides it to skip building the dropped one. The
+    /// default builds the event and discards it.
+    fn skip_event(&mut self) -> Option<u64> {
+        self.next_event().map(|event| event.at_ms)
+    }
+
     /// `(lower, upper)` bounds on the number of remaining events, like
     /// [`Iterator::size_hint`]; used to pre-size replay buffers.
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -69,6 +83,10 @@ pub trait TraceSource {
 impl<S: TraceSource + ?Sized> TraceSource for &mut S {
     fn next_event(&mut self) -> Option<TraceEvent> {
         (**self).next_event()
+    }
+
+    fn skip_event(&mut self) -> Option<u64> {
+        (**self).skip_event()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -185,27 +203,47 @@ impl<S: TraceSource> ConcatSource<S> {
     }
 }
 
-impl<S: TraceSource> TraceSource for ConcatSource<S> {
-    fn next_event(&mut self) -> Option<TraceEvent> {
+impl<S: TraceSource> ConcatSource<S> {
+    /// Advances to the next event with `pull` (the current part's
+    /// `next_event` or `skip_event`, with `time_of` reaching its
+    /// arrival time), moving on past exhausted parts, and returns it
+    /// shifted onto the global clock. Built and skipped events pass the
+    /// same time-order check.
+    fn advance<T>(
+        &mut self,
+        mut pull: impl FnMut(&mut S) -> Option<T>,
+        time_of: impl Fn(&mut T) -> &mut u64,
+    ) -> Option<T> {
         while let Some((offset, source)) = self.parts.get_mut(self.current) {
-            match source.next_event() {
-                Some(mut event) => {
-                    event.at_ms += *offset;
+            match pull(source) {
+                Some(mut item) => {
+                    let at = time_of(&mut item);
+                    *at += *offset;
                     assert!(
-                        event.at_ms >= self.last_ms,
+                        *at >= self.last_ms,
                         "ConcatSource part {} broke time order: event at {} ms \
                          after {} ms (its span overruns the next part's offset)",
                         self.current,
-                        event.at_ms,
+                        *at,
                         self.last_ms,
                     );
-                    self.last_ms = event.at_ms;
-                    return Some(event);
+                    self.last_ms = *at;
+                    return Some(item);
                 }
                 None => self.current += 1,
             }
         }
         None
+    }
+}
+
+impl<S: TraceSource> TraceSource for ConcatSource<S> {
+    fn next_event(&mut self) -> Option<TraceEvent> {
+        self.advance(S::next_event, |event| &mut event.at_ms)
+    }
+
+    fn skip_event(&mut self) -> Option<u64> {
+        self.advance(S::skip_event, |at_ms| at_ms)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1075,6 +1113,28 @@ mod tests {
             InvocationTrace::from_source(SyntheticSource::new(tenants(), 4_000, 99).unwrap()),
             materialized
         );
+    }
+
+    /// Two parts whose first overruns the second's offset: part 0 spans
+    /// about 2 s, part 1 starts at 500 ms.
+    fn overrunning_concat(trace: &InvocationTrace) -> ConcatSource<MaterializedSource<'_>> {
+        ConcatSource::new(vec![(0, trace.source()), (500, trace.source())]).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "broke time order")]
+    fn concat_rejects_a_pulled_event_out_of_order() {
+        let trace = InvocationTrace::poisson(suite::benchmarks(), 60.0, 2_000, 12).unwrap();
+        let mut source = overrunning_concat(&trace);
+        while source.next_event().is_some() {}
+    }
+
+    #[test]
+    #[should_panic(expected = "broke time order")]
+    fn concat_rejects_a_skipped_event_out_of_order() {
+        let trace = InvocationTrace::poisson(suite::benchmarks(), 60.0, 2_000, 12).unwrap();
+        let mut source = overrunning_concat(&trace);
+        while source.skip_event().is_some() {}
     }
 
     #[test]

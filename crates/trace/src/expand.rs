@@ -20,12 +20,22 @@
 //!   `(seed, function, minute)` so slicing or subsampling one stream
 //!   never perturbs another;
 //! * **duration sketch → body** — each invocation draws a duration
-//!   quantile from the function's percentile sketch; the quantile's
-//!   *rank* picks the benchmark from the class pool (sorted by solo
-//!   duration), so a function's fast tail runs the pool's short bodies
-//!   and its slow tail the long ones. The simulator's calibrated
+//!   quantile, the same uniform draw the function's
+//!   [`PercentileSketch`](crate::PercentileSketch) samples with; the
+//!   quantile's *rank* picks the benchmark from the class pool (sorted
+//!   by solo duration), so a function's fast tail runs the pool's short
+//!   bodies and its slow tail the long ones. The simulator's calibrated
 //!   bodies stand in for wall-clock durations — what's preserved is
 //!   each function's duration *spread*, mapped onto the pool's spread.
+//!
+//! A minute expands into compact arrival keys — time, tenant, and which
+//! function and body — sorted into the canonical `(at_ms, tenant)`
+//! order. The [`TraceEvent`], with its own copy of the body, is built
+//! only when [`TraceSource::next_event`] hands it out, and
+//! [`TraceSource::skip_event`] passes an arrival without building it.
+//! A [`crate::TraceTransform::ScaleRate`] ahead of any window skips the
+//! events it drops, so a thinned replay pays for placing every arrival
+//! but builds only the events it keeps.
 
 use std::collections::BTreeMap;
 
@@ -37,7 +47,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::azure::{AzureDataset, AzureFunction};
 use crate::error::TraceError;
-use crate::sketch::PercentileSketch;
 use crate::Result;
 
 /// How a minute's invocation count is placed inside the minute.
@@ -147,17 +156,34 @@ struct FunctionPlan {
     tenant: TenantId,
     key: u64,
     counts: Vec<u32>,
-    sketch: PercentileSketch,
     /// The class pool, ascending by solo body duration, so a duration
     /// quantile rank indexes straight into it.
     pool: Vec<Benchmark>,
 }
 
+/// One expanded arrival before its [`TraceEvent`] is built: the sort
+/// key plus where to find its body. Fields compare in declaration
+/// order, and `order` (the position in expansion order) is unique
+/// within a minute, so an unstable sort of arrivals equals a stable
+/// sort by `(at_ms, tenant)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Arrival {
+    at_ms: u64,
+    tenant: TenantId,
+    order: usize,
+    plan: usize,
+    pool: u32,
+}
+
 /// Streaming [`TraceSource`] over an expanded Azure trace: minutes are
 /// expanded one at a time (memory stays proportional to the busiest
-/// minute, never the trace), each minute's events sorted into the
+/// minute, never the trace), each minute's arrivals sorted into the
 /// canonical `(at_ms, tenant)` order — so streaming is bit-identical
 /// to materializing via [`AzureDataset::expand`] at the same seed.
+///
+/// Only the current minute's sorted arrival keys are buffered:
+/// [`TraceSource::next_event`] builds each event as it hands it out,
+/// and [`TraceSource::skip_event`] passes one without building it.
 #[derive(Debug, Clone)]
 pub struct AzureReplaySource {
     plans: Vec<FunctionPlan>,
@@ -167,7 +193,7 @@ pub struct AzureReplaySource {
     minute_ms: u64,
     minutes: usize,
     next_minute: usize,
-    buffer: Vec<TraceEvent>,
+    arrivals: Vec<Arrival>,
     cursor: usize,
     remaining: usize,
 }
@@ -332,7 +358,6 @@ impl AzureReplaySource {
                 tenant: tenant_of(&function.owner, &function.app)?,
                 key: fnv1a64([&function.owner, &function.app, &function.function]),
                 counts: function.counts.clone(),
-                sketch: function.duration_ms.clone(),
                 pool: pool_by_class[&class].clone(),
             });
         }
@@ -345,7 +370,7 @@ impl AzureReplaySource {
             minute_ms: config.minute_ms,
             minutes: dataset.minutes(),
             next_minute: 0,
-            buffer: Vec::new(),
+            arrivals: Vec::new(),
             cursor: 0,
             remaining,
         })
@@ -364,10 +389,10 @@ impl AzureReplaySource {
     }
 
     fn expand_minute(&mut self, minute: usize) {
-        self.buffer.clear();
+        self.arrivals.clear();
         self.cursor = 0;
         let base = minute as u64 * self.minute_ms;
-        for plan in &self.plans {
+        for (plan_idx, plan) in self.plans.iter().enumerate() {
             let count = plan.counts.get(minute).copied().unwrap_or(0) as u64;
             if count == 0 {
                 continue;
@@ -383,22 +408,25 @@ impl AzureReplaySource {
                         (u * self.minute_ms as f64) as u64
                     }
                 };
-                let (q, _duration_ms) = plan.sketch.sample(&mut rng);
-                let idx = ((q * plan.pool.len() as f64) as usize).min(plan.pool.len() - 1);
-                self.buffer.push(TraceEvent {
+                // The duration quantile: only its rank matters, which
+                // picks the body from the duration-sorted pool.
+                let q: f64 = rng.gen_range(0.0..1.0);
+                let pool_idx = ((q * plan.pool.len() as f64) as usize).min(plan.pool.len() - 1);
+                self.arrivals.push(Arrival {
                     at_ms: base + offset_ms.min(self.minute_ms - 1),
-                    function: plan.pool[idx].clone(),
                     tenant: plan.tenant,
+                    order: self.arrivals.len(),
+                    plan: plan_idx,
+                    pool: pool_idx as u32,
                 });
             }
         }
-        self.buffer.sort_by_key(|e| (e.at_ms, e.tenant));
+        self.arrivals.sort_unstable();
     }
-}
 
-impl TraceSource for AzureReplaySource {
-    fn next_event(&mut self) -> Option<TraceEvent> {
-        while self.cursor >= self.buffer.len() {
+    /// Consumes the next arrival, expanding minutes until one has any.
+    fn next_arrival(&mut self) -> Option<Arrival> {
+        while self.cursor >= self.arrivals.len() {
             if self.next_minute >= self.minutes {
                 return None;
             }
@@ -406,10 +434,25 @@ impl TraceSource for AzureReplaySource {
             self.next_minute += 1;
             self.expand_minute(minute);
         }
-        let event = self.buffer[self.cursor].clone();
+        let arrival = self.arrivals[self.cursor];
         self.cursor += 1;
         self.remaining -= 1;
-        Some(event)
+        Some(arrival)
+    }
+}
+
+impl TraceSource for AzureReplaySource {
+    fn next_event(&mut self) -> Option<TraceEvent> {
+        let arrival = self.next_arrival()?;
+        Some(TraceEvent {
+            at_ms: arrival.at_ms,
+            function: self.plans[arrival.plan].pool[arrival.pool as usize].clone(),
+            tenant: arrival.tenant,
+        })
+    }
+
+    fn skip_event(&mut self) -> Option<u64> {
+        self.next_arrival().map(|arrival| arrival.at_ms)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -443,9 +486,56 @@ impl AzureDataset {
 mod tests {
     use super::*;
     use crate::fixture;
+    use proptest::prelude::*;
 
     fn config() -> ExpandConfig {
         ExpandConfig::new(7).minute_ms(400)
+    }
+
+    /// Walks `source` to its end, skipping when `skip` says so and
+    /// pulling otherwise, and returns every arrival time in order.
+    /// `size_hint` must stay exact at every step.
+    fn walk(mut source: impl TraceSource, mut skip: impl FnMut() -> bool) -> Vec<u64> {
+        let mut times = Vec::new();
+        loop {
+            let left = source.size_hint().0;
+            assert_eq!(source.size_hint(), (left, Some(left)));
+            let at_ms = if skip() {
+                source.skip_event()
+            } else {
+                source.next_event().map(|event| event.at_ms)
+            };
+            let Some(at_ms) = at_ms else {
+                assert_eq!(left, 0, "ended with {left} events announced");
+                break;
+            };
+            times.push(at_ms);
+            assert_eq!(source.size_hint().0, left - 1);
+        }
+        times
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn skipping_walks_the_same_times_as_pulling(
+            (seed, minute_ms, days) in (0u64..1_000, 50u64..2_000, 1usize..4),
+            (skip_seed, skip_fraction) in (0u64..1_000, 0.0f64..1.0),
+        ) {
+            let days = vec![fixture::dataset(); days];
+            let cfg = ExpandConfig::new(seed).minute_ms(minute_ms);
+            let skips = || {
+                let mut rng = StdRng::seed_from_u64(skip_seed);
+                move || rng.gen_range(0.0..1.0) < skip_fraction
+            };
+            let pulled = walk(days[0].source(cfg).unwrap(), || false);
+            prop_assert_eq!(pulled.len() as u64, days[0].total_invocations());
+            prop_assert!(walk(days[0].source(cfg).unwrap(), skips()) == pulled);
+            let chained = walk(multi_day_source(&days, cfg).unwrap(), || false);
+            prop_assert_eq!(chained.len(), pulled.len() * days.len());
+            prop_assert!(walk(multi_day_source(&days, cfg).unwrap(), skips()) == chained);
+        }
     }
 
     #[test]

@@ -34,6 +34,12 @@ pub enum TraceTransform {
     /// the seed and the event's position in the *input* stream — so
     /// the same seed always keeps the same events, and composing
     /// further transforms downstream never re-rolls the dice.
+    ///
+    /// Because the decision needs only the position, a
+    /// [`TransformedSource`] makes it before pulling the event whenever
+    /// no [`TraceTransform::Window`] precedes this stage, and passes a
+    /// dropped event with [`TraceSource::skip_event`]: a source that
+    /// builds events lazily never builds the ones thinning drops.
     ScaleRate {
         /// Fraction of events to keep, in `[0, 1]`.
         keep_fraction: f64,
@@ -80,6 +86,20 @@ impl TraceTransform {
         Ok(())
     }
 
+    /// Whether this stage drops input event `index` whatever the event
+    /// holds: only thinning decides by position alone. The one
+    /// keep/drop rule of [`TraceTransform::ScaleRate`], shared by
+    /// [`TraceTransform::apply`] and the pre-pull check.
+    fn drops_index(&self, index: u64) -> bool {
+        match self {
+            TraceTransform::ScaleRate {
+                keep_fraction,
+                seed,
+            } => unit_hash(*seed, index) >= *keep_fraction,
+            _ => false,
+        }
+    }
+
     /// Applies this transform to one event (`index` is the event's
     /// 0-based position in the *input* stream).
     fn apply(&self, mut event: TraceEvent, index: u64) -> Step {
@@ -88,14 +108,11 @@ impl TraceTransform {
                 event.at_ms /= divisor;
                 Step::Keep(event)
             }
-            TraceTransform::ScaleRate {
-                keep_fraction,
-                seed,
-            } => {
-                if unit_hash(*seed, index) < *keep_fraction {
-                    Step::Keep(event)
-                } else {
+            TraceTransform::ScaleRate { .. } => {
+                if self.drops_index(index) {
                     Step::Drop
+                } else {
+                    Step::Keep(event)
                 }
             }
             TraceTransform::Subsample { tenants } => {
@@ -149,14 +166,20 @@ fn unit_hash(seed: u64, index: u64) -> f64 {
 /// The output honours the full [`TraceSource`] contract, including
 /// ascending-tenant order among same-millisecond ties: compression can
 /// *create* cross-tenant ties out of events the input ordered by their
-/// original times, so each run of equal output times is buffered and
-/// re-sorted by tenant before it is yielded. Memory therefore tracks
-/// the largest tie run — one compressed millisecond's worth of events —
-/// not the trace.
+/// original times, so each run of two or more equal output times is
+/// buffered and re-sorted by tenant before it is yielded; an event
+/// alone at its millisecond passes straight through. Memory therefore
+/// tracks the largest tie run — one compressed millisecond's worth of
+/// events — not the trace.
 #[derive(Debug, Clone)]
 pub struct TransformedSource<S> {
     source: S,
     transforms: Vec<TraceTransform>,
+    /// Length of the chain's prefix before its first window: stages
+    /// there may drop an event by its index before it is pulled. A
+    /// stage after a window must see every event the window passes,
+    /// because the window can end the stream on any of them.
+    pre_pull: usize,
     index: u64,
     /// The current run of equal-`at_ms` output events, canonically
     /// ordered; drained front to back.
@@ -180,9 +203,14 @@ impl<S: TraceSource> TransformedSource<S> {
         for transform in &transforms {
             transform.validate()?;
         }
+        let pre_pull = transforms
+            .iter()
+            .position(|t| matches!(t, TraceTransform::Window { .. }))
+            .unwrap_or(transforms.len());
         Ok(TransformedSource {
             source,
             transforms,
+            pre_pull,
             index: 0,
             ties: std::collections::VecDeque::new(),
             pending: None,
@@ -193,10 +221,20 @@ impl<S: TraceSource> TransformedSource<S> {
     /// Pulls input events through the transform chain until one
     /// survives — or a window stage proves the stream is over, which
     /// ends it without draining (or expanding) the rest of the source.
+    /// An event a pre-window stage drops by index is skipped, never
+    /// built.
     fn next_transformed(&mut self) -> Option<TraceEvent> {
         'events: while !self.finished {
-            let mut event = self.source.next_event()?;
             let index = self.index;
+            if self.transforms[..self.pre_pull]
+                .iter()
+                .any(|t| t.drops_index(index))
+            {
+                self.source.skip_event()?;
+                self.index += 1;
+                continue;
+            }
+            let mut event = self.source.next_event()?;
             self.index += 1;
             for transform in &self.transforms {
                 match transform.apply(event, index) {
@@ -219,24 +257,24 @@ impl<S: TraceSource> TraceSource for TransformedSource<S> {
         if let Some(event) = self.ties.pop_front() {
             return Some(event);
         }
-        // Collect the next run of equal output times and restore the
-        // canonical ascending-tenant tie order (the sort is stable, so
-        // same-tenant events keep their input order — exactly what the
-        // materialized path's stable re-sort produces).
+        // One event of lookahead: an event alone at its millisecond,
+        // the usual case, goes straight out.
         let first = self.pending.take().or_else(|| self.next_transformed())?;
         let at_ms = first.at_ms;
-        let mut run = vec![first];
-        loop {
-            match self.next_transformed() {
-                Some(event) if event.at_ms == at_ms => run.push(event),
-                other => {
-                    self.pending = other;
-                    break;
-                }
-            }
+        self.pending = self.next_transformed();
+        if self.pending.as_ref().map(|e| e.at_ms) != Some(at_ms) {
+            return Some(first);
         }
-        run.sort_by_key(|e| e.tenant);
-        self.ties.extend(run);
+        // A tie: collect the run of equal output times and restore the
+        // canonical ascending-tenant order (the sort is stable, so
+        // same-tenant events keep their input order — exactly what the
+        // materialized path's stable re-sort produces).
+        self.ties.push_back(first);
+        while let Some(event) = self.pending.take_if(|e| e.at_ms == at_ms) {
+            self.ties.push_back(event);
+            self.pending = self.next_transformed();
+        }
+        self.ties.make_contiguous().sort_by_key(|e| e.tenant);
         self.ties.pop_front()
     }
 
@@ -263,13 +301,130 @@ pub fn apply(trace: &InvocationTrace, transforms: &[TraceTransform]) -> Result<I
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expand::ExpandConfig;
+    use crate::expand::{multi_day_source, ExpandConfig};
     use crate::fixture;
+    use litmus_workloads::suite;
+    use proptest::prelude::*;
 
     fn base_trace() -> InvocationTrace {
         fixture::dataset()
             .expand(ExpandConfig::new(11).minute_ms(1_000))
             .unwrap()
+    }
+
+    /// A time-ordered stream (one event every 10 ms) that counts how
+    /// many events the chain actually pulls. It is endless for any
+    /// chain that stops early; a chain that keeps pulling meets a
+    /// safety stop after a million events and fails its pull count
+    /// instead of hanging.
+    struct CountingSource {
+        next_at: u64,
+        pulled: u64,
+    }
+
+    impl CountingSource {
+        fn new() -> Self {
+            CountingSource {
+                next_at: 0,
+                pulled: 0,
+            }
+        }
+    }
+
+    impl TraceSource for CountingSource {
+        fn next_event(&mut self) -> Option<TraceEvent> {
+            if self.pulled == 1_000_000 {
+                return None;
+            }
+            let at_ms = self.next_at;
+            self.next_at += 10;
+            self.pulled += 1;
+            Some(TraceEvent {
+                at_ms,
+                function: suite::by_name("auth-go").unwrap(),
+                tenant: TenantId(0),
+            })
+        }
+    }
+
+    /// The chain's semantics as a plain loop: pull every input event
+    /// with `next_event`, run it through each stage in order, stop at
+    /// the first `Finished`, then restore the canonical tie order with
+    /// a stable sort of the survivors.
+    fn reference(mut source: impl TraceSource, transforms: &[TraceTransform]) -> Vec<TraceEvent> {
+        let mut out = Vec::new();
+        'events: for index in 0.. {
+            let Some(mut event) = source.next_event() else {
+                break;
+            };
+            for transform in transforms {
+                match transform.apply(event, index) {
+                    Step::Keep(kept) => event = kept,
+                    Step::Drop => continue 'events,
+                    Step::Finished => break 'events,
+                }
+            }
+            out.push(event);
+        }
+        out.sort_by_key(|e| (e.at_ms, e.tenant));
+        out
+    }
+
+    fn drain(mut source: impl TraceSource) -> Vec<TraceEvent> {
+        let mut out = Vec::new();
+        while let Some(event) = source.next_event() {
+            out.push(event);
+        }
+        out
+    }
+
+    /// One generated chain stage: `kind` picks the transform (thinning
+    /// twice as often as the others), the rest parameterize it within
+    /// a trace spanning `span_ms`.
+    fn stage((kind, a, b, fraction): (u32, u64, u64, f64), span_ms: u64) -> TraceTransform {
+        match kind {
+            0 | 1 => TraceTransform::ScaleRate {
+                // Exercise the extremes as well as the interior.
+                keep_fraction: match a % 8 {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => fraction,
+                },
+                seed: b,
+            },
+            2 => {
+                let start_ms = a % span_ms;
+                TraceTransform::Window {
+                    start_ms,
+                    end_ms: start_ms + 1 + b % span_ms,
+                }
+            }
+            3 => TraceTransform::Compress { divisor: 1 + a % 8 },
+            _ => TraceTransform::Subsample {
+                tenants: (0..6).filter(|t| a >> t & 1 == 1).map(TenantId).collect(),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn random_chains_match_the_reference_loop(
+            (days, minute_ms, seed) in (1usize..3, 50u64..400, 0u64..1_000),
+            raw in prop::collection::vec((0u32..5, 0u64..1 << 20, 0u64..1 << 20, 0.0f64..1.0), 0..5),
+        ) {
+            let days = vec![fixture::dataset(); days];
+            let config = ExpandConfig::new(seed).minute_ms(minute_ms);
+            let span_ms = days.len() as u64 * days[0].minutes() as u64 * minute_ms;
+            let transforms: Vec<TraceTransform> =
+                raw.into_iter().map(|r| stage(r, span_ms)).collect();
+            let expected = reference(multi_day_source(&days, config).unwrap(), &transforms);
+            let source = multi_day_source(&days, config).unwrap();
+            let streamed = drain(TransformedSource::new(source, transforms.clone()).unwrap());
+            prop_assert_eq!(streamed.len(), expected.len());
+            prop_assert!(streamed == expected, "chain {:?} diverged", transforms);
+        }
     }
 
     #[test]
@@ -284,9 +439,6 @@ mod tests {
 
     #[test]
     fn streamed_compression_restores_canonical_tie_order() {
-        use litmus_platform::{TenantId, TraceSource};
-        use litmus_workloads::suite;
-
         // Input is canonically ordered by (at_ms, tenant); dividing by
         // 4 collapses both events onto 1 ms with the tenants in
         // *descending* order — the stream must re-sort the tie.
@@ -386,34 +538,8 @@ mod tests {
 
     #[test]
     fn window_short_circuits_past_its_end() {
-        use litmus_platform::{TenantId, TraceSource};
-        use litmus_workloads::suite;
-
-        /// Counts how many events the chain actually pulls.
-        struct CountingSource {
-            next_at: u64,
-            pulled: u64,
-        }
-        impl TraceSource for CountingSource {
-            fn next_event(&mut self) -> Option<TraceEvent> {
-                // An endless time-ordered stream: without the window
-                // short-circuit this test would never finish.
-                let at_ms = self.next_at;
-                self.next_at += 10;
-                self.pulled += 1;
-                Some(TraceEvent {
-                    at_ms,
-                    function: suite::by_name("auth-go").unwrap(),
-                    tenant: TenantId(0),
-                })
-            }
-        }
-
         let mut source = TransformedSource::new(
-            CountingSource {
-                next_at: 0,
-                pulled: 0,
-            },
+            CountingSource::new(),
             vec![TraceTransform::Window {
                 start_ms: 100,
                 end_ms: 200,
@@ -429,6 +555,29 @@ mod tests {
         // the first past-the-end event, nothing beyond.
         assert_eq!(source.source.pulled, 21);
         // Exhaustion is sticky.
+        assert!(source.next_event().is_none());
+        assert_eq!(source.source.pulled, 21);
+    }
+
+    #[test]
+    fn thinning_behind_a_window_still_ends_at_the_window() {
+        // A thinning stage that drops everything, placed after the
+        // window: the window must still see the first past-the-end
+        // event and end the endless stream there.
+        let mut source = TransformedSource::new(
+            CountingSource::new(),
+            vec![
+                TraceTransform::Window {
+                    start_ms: 100,
+                    end_ms: 200,
+                },
+                TraceTransform::ScaleRate {
+                    keep_fraction: 0.0,
+                    seed: 3,
+                },
+            ],
+        )
+        .unwrap();
         assert!(source.next_event().is_none());
         assert_eq!(source.source.pulled, 21);
     }
