@@ -86,13 +86,25 @@ impl ContentionModel {
     /// Computes the congestion state produced by `inputs` with
     /// `active_contexts` running contexts.
     pub fn evaluate(&self, inputs: ContentionInputs, active_contexts: usize) -> CongestionSnapshot {
+        let capacity_pressure = self.capacity_pressure(inputs.total_footprint_mb);
+        self.evaluate_at(inputs, capacity_pressure, active_contexts)
+    }
+
+    /// [`ContentionModel::evaluate`] with the footprint's capacity
+    /// pressure already computed, for a caller that evaluates one
+    /// footprint at many demands. `inputs.total_footprint_mb` is not
+    /// read.
+    pub(crate) fn evaluate_at(
+        &self,
+        inputs: ContentionInputs,
+        capacity_pressure: f64,
+        active_contexts: usize,
+    ) -> CongestionSnapshot {
         let spec = &self.spec;
         let u_l3 = inputs.l2_miss_rate / spec.l3_service_lines_per_ms;
         let u_bw = inputs.l3_miss_rate / spec.mem_lines_per_ms;
 
         let l3_latency = spec.l3_hit_latency * (1.0 + spec.k_ring * u_l3);
-
-        let capacity_pressure = self.capacity_pressure(inputs.total_footprint_mb);
 
         let u_eff = u_bw.min(spec.bw_util_cap);
         let queueing = 1.0 + spec.k_bw * u_eff * u_eff / (1.0 - u_eff);

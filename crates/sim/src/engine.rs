@@ -4,7 +4,7 @@ use crate::contention::{CongestionSnapshot, ContentionInputs, ContentionModel};
 use crate::error::SimError;
 use crate::frequency::FrequencyGovernor;
 use crate::pmu::{PmuCounters, PmuSample};
-use crate::profile::ExecutionProfile;
+use crate::profile::{ExecPhase, ExecutionProfile};
 use crate::report::{ExecutionReport, StartupReport};
 use crate::spec::MachineSpec;
 use crate::Result;
@@ -176,10 +176,10 @@ struct Slot {
     switch_mpki: f64,
 }
 
-/// A scheduled slot's factors that stay fixed through the rounds of one
-/// congestion solve. Each keeps the left-to-right product order of
-/// `Simulator::private_cpi` and `Simulator::stall_per_instr`, so the
-/// rounds compute the same bits as those functions.
+/// A scheduled slot's factors for one phase of its context: fixed
+/// through the rounds of a congestion solve and through the part of a
+/// quantum that `Simulator::advance` spends in that phase. The solve and
+/// `advance` both build them here, so both charge the same bits.
 #[derive(Debug, Clone, Copy)]
 struct SlotTerms {
     domain: usize,
@@ -193,10 +193,40 @@ struct SlotTerms {
     l3_miss_ratio: f64,
 }
 
+impl SlotTerms {
+    fn new(spec: &MachineSpec, slot: &Slot, phase: &ExecPhase) -> Self {
+        let smt = if slot.smt_busy {
+            spec.smt_private_factor
+        } else {
+            1.0
+        };
+        let mpki = phase.l2_mpki + slot.switch_mpki;
+        SlotTerms {
+            domain: slot.domain,
+            private_base: phase.cpi_private * slot.switch_factor * smt,
+            mpki,
+            stall_base: (mpki / 1000.0) * phase.blocking,
+            l3_miss_ratio: phase.l3_miss_ratio,
+        }
+    }
+}
+
+/// Factor by which congestion inflates private CPI. Congestion leaks
+/// into private time through frequency-domain effects, TLB pressure and
+/// prefetcher interference: mostly tracking capacity pressure, plus the
+/// two utilisations.
+fn coupling(spec: &MachineSpec, snapshot: &CongestionSnapshot) -> f64 {
+    let couple_metric = (snapshot.capacity_pressure
+        + snapshot.l3_port_utilization
+        + snapshot.bandwidth_utilization.min(1.2))
+    .min(2.0);
+    1.0 + spec.private_coupling * couple_metric
+}
+
 /// Per-quantum working buffers and the intermediates reused across
-/// quanta, kept on the simulator so that a quantum refills them instead
-/// of allocating; each grows only until it has held the largest set
-/// seen.
+/// quanta, kept on the simulator so that a quantum refills them in place
+/// instead of allocating; each grows only until it has held the largest
+/// set seen.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Free hardware threads per core.
@@ -209,15 +239,15 @@ struct Scratch {
     /// with `load`.
     switch_factor: Vec<f64>,
     switch_mpki: Vec<f64>,
-    /// Active contexts in scheduling order.
-    runnable: Vec<usize>,
     /// The quantum's plan, ascending by context.
     slots: Vec<Slot>,
     /// The previous quantum's plan.
     prev_slots: Vec<Slot>,
-    /// Live cache footprint per domain. Rebuilt when the active set or
-    /// a phase changes.
+    /// Live cache footprint per domain, and the
+    /// [`ContentionModel::capacity_pressure`] it implies. Rebuilt when
+    /// the active set or a phase changes.
     footprint: Vec<f64>,
+    pressure: Vec<f64>,
     /// Running contexts per domain.
     running: Vec<usize>,
     /// The solve's per-slot factors, in plan order.
@@ -251,6 +281,14 @@ pub struct Simulator {
     contexts: Vec<Context>,
     /// Indices of the active contexts, ascending.
     active: Vec<usize>,
+    /// The active contexts in scheduling order: ascending by
+    /// `(last_run_ms, index)`, least recently run first. A launch
+    /// appends (its key is the largest); after a quantum the contexts
+    /// that ran move to the back in index order and completed ones
+    /// leave, so the order is kept without sorting.
+    runqueue: Vec<usize>,
+    /// [`MachineSpec::domain_of`] per core.
+    core_domain: Vec<usize>,
     machine_l3_misses: f64,
     /// One congestion snapshot per sharing domain (socket).
     last_snapshots: Vec<CongestionSnapshot>,
@@ -286,6 +324,7 @@ impl Simulator {
     pub fn with_governor(spec: MachineSpec, governor: FrequencyGovernor) -> Self {
         spec.validate().expect("machine spec must be valid"); // lint:allow(panic-in-lib): constructor contract; `# Panics` documented on this fn
         let last_snapshots = vec![CongestionSnapshot::idle(&spec); spec.sockets];
+        let core_domain = (0..spec.cores).map(|core| spec.domain_of(core)).collect();
         Simulator {
             model: ContentionModel::new(spec.clone()),
             spec,
@@ -293,6 +332,8 @@ impl Simulator {
             now_ms: 0,
             contexts: Vec::new(),
             active: Vec::new(),
+            runqueue: Vec::new(),
+            core_domain,
             machine_l3_misses: 0.0,
             last_snapshots,
             idle_settled: false,
@@ -400,6 +441,7 @@ impl Simulator {
             samples: Vec::new(),
         });
         self.active.push(id.0);
+        self.runqueue.push(id.0);
         self.changed = Change::ActiveSet;
         Ok(id)
     }
@@ -459,13 +501,14 @@ impl Simulator {
     /// Within that, a step recomputes each intermediate only when one of
     /// its inputs changed and otherwise reuses it bit for bit, so the
     /// output is exactly that of recomputing everything. One
-    /// invalidation signal drives the reuse: it fires when the active
-    /// set changes (a launch, or completions pruned at the end of a
-    /// step) or when a step moves an active context to its next phase.
+    /// invalidation signal drives the first three rules: it fires when
+    /// the active set changes (a launch, or completions pruned at the
+    /// end of a step) or when a step moves an active context to its next
+    /// phase.
     ///
     /// 1. Per-core load and switch overheads are rebuilt only when the
-    ///    active set changed; the per-domain live footprint only when
-    ///    the active set or a phase changed.
+    ///    active set changed; the per-domain live footprint and its
+    ///    capacity pressure only when the active set or a phase changed.
     /// 2. The damped fixed point stops as soon as a round after the
     ///    first reproduces its input demand bit for bit
     ///    (`FIXED_POINT_ITERS` is the cap).
@@ -474,25 +517,29 @@ impl Simulator {
     ///    bits), nothing was invalidated since the previous quantum, and
     ///    the last solve returned its starting snapshots bit for bit:
     ///    the same inputs would return them again.
+    /// 4. Scheduling walks a kept run queue in O(active), with no sort:
+    ///    the active contexts, least recently run first. A launch
+    ///    appends to it; after a quantum the contexts that ran move to
+    ///    the back in index order and completed ones leave, which is the
+    ///    order sorting by run stamp would give.
     ///
     /// [`Simulator::congestion_solves`] counts the quanta that solved.
     pub fn step(&mut self) -> Vec<Event> {
-        // The buffers leave `self` for the quantum so that the helpers
-        // can read the simulator while filling them.
-        let mut scratch = std::mem::take(&mut self.scratch);
         let changed = std::mem::replace(&mut self.changed, Change::Unchanged);
-        self.refresh_occupancy(&mut scratch, changed);
-        self.schedule(&mut scratch);
+        self.refresh_occupancy(changed);
+        self.schedule();
         let freq = self
             .governor
-            .frequency_ghz(scratch.slots.len(), self.spec.hardware_threads());
+            .frequency_ghz(self.scratch.slots.len(), self.spec.hardware_threads());
         let cycles_q = self.spec.cycles_per_quantum(freq);
 
+        let scratch = &self.scratch;
         let reuse = changed == Change::Unchanged
             && scratch.settled
             && same_plan(&scratch.slots, &scratch.prev_slots);
         if !reuse {
-            self.solve_congestion(&mut scratch, cycles_q);
+            self.solve_congestion(cycles_q);
+            let scratch = &mut self.scratch;
             scratch.settled = scratch
                 .snapshots
                 .iter()
@@ -504,10 +551,12 @@ impl Simulator {
 
         let mut events = Vec::new();
         let mut machine_l3_this_quantum = 0.0;
-        for slot in &scratch.slots {
+        // By index, copying each slot: `advance` borrows the simulator.
+        for i in 0..self.scratch.slots.len() {
+            let slot = self.scratch.slots[i];
             let snapshot = self.last_snapshots[slot.domain];
             if let Some(event) =
-                self.advance(slot, cycles_q, &snapshot, &mut machine_l3_this_quantum)
+                self.advance(&slot, cycles_q, &snapshot, &mut machine_l3_this_quantum)
             {
                 events.push(event);
             }
@@ -515,24 +564,34 @@ impl Simulator {
         self.machine_l3_misses += machine_l3_this_quantum;
 
         // Bookkeeping for round-robin fairness and switch counting. The
-        // run stamp is the quantum's *end* time so that a context that
-        // just ran sorts behind peers still waiting from earlier quanta,
-        // and so that next quantum a stamp equal to the clock means
-        // "ran last quantum".
+        // run stamp is the quantum's *end* time, later than every other
+        // stamp, so the contexts that ran move to the back of the run
+        // queue, in index order as the plan is; and next quantum a
+        // stamp equal to the clock means "ran last quantum".
         self.now_ms += 1;
-        for slot in &scratch.slots {
+        let now_ms = self.now_ms;
+        for slot in &self.scratch.slots {
             let ctx = &mut self.contexts[slot.ctx];
-            ctx.last_run_ms = self.now_ms;
+            ctx.last_run_ms = now_ms;
             ctx.has_run = true;
         }
+        let contexts = &self.contexts;
+        self.runqueue
+            .retain(|&idx| contexts[idx].last_run_ms != now_ms);
+        self.runqueue.extend(
+            self.scratch
+                .slots
+                .iter()
+                .map(|slot| slot.ctx)
+                .filter(|&idx| contexts[idx].is_active()),
+        );
         if !events.is_empty() {
-            let contexts = &self.contexts;
             self.active.retain(|&idx| contexts[idx].is_active());
             self.changed = Change::ActiveSet;
         }
+        let scratch = &mut self.scratch;
         self.idle_settled = scratch.slots.is_empty();
         std::mem::swap(&mut scratch.slots, &mut scratch.prev_slots);
-        self.scratch = scratch;
         events
     }
 
@@ -636,8 +695,18 @@ impl Simulator {
 
     /// Rebuilds the occupancy caches that `changed` made stale: per-core
     /// load and switch overheads after an active-set change, and the
-    /// per-domain live footprint after that or a phase change.
-    fn refresh_occupancy(&self, scratch: &mut Scratch, changed: Change) {
+    /// per-domain live footprint and capacity pressure after that or a
+    /// phase change.
+    fn refresh_occupancy(&mut self, changed: Change) {
+        let Simulator {
+            spec,
+            model,
+            contexts,
+            active,
+            core_domain,
+            scratch,
+            ..
+        } = self;
         if changed == Change::ActiveSet {
             let Scratch {
                 load,
@@ -646,69 +715,85 @@ impl Simulator {
                 ..
             } = &mut *scratch;
             load.clear();
-            load.resize(self.spec.cores, 0.0);
-            for &idx in &self.active {
-                let ctx = &self.contexts[idx];
+            load.resize(spec.cores, 0.0);
+            for &idx in active.iter() {
+                let ctx = &contexts[idx];
                 let share = 1.0 / ctx.allowed.len() as f64;
                 for &core in &ctx.allowed {
                     load[core] += share;
                 }
             }
-            let smt = self.spec.smt_ways as f64;
+            let smt = spec.smt_ways as f64;
             switch_factor.clear();
             switch_mpki.clear();
             for &core_load in load.iter() {
                 let co_resident = (core_load / smt).max(1.0);
-                switch_factor.push(self.spec.switch_factor(co_resident));
-                switch_mpki.push(self.spec.switch_mpki(co_resident));
+                switch_factor.push(spec.switch_factor(co_resident));
+                switch_mpki.push(spec.switch_mpki(co_resident));
             }
         }
         if changed >= Change::Phase {
             // A context's working set lands on the domains its allowed
-            // cores belong to, split proportionally.
-            let footprint = &mut scratch.footprint;
+            // cores belong to, split proportionally. Each run of
+            // same-domain cores adds its shares in a register, one core
+            // at a time: the same additions in the same order as adding
+            // them to the domain's total core by core.
+            let Scratch {
+                footprint,
+                pressure,
+                ..
+            } = &mut *scratch;
             footprint.clear();
-            footprint.resize(self.spec.sockets, 0.0);
-            for &idx in &self.active {
-                let ctx = &self.contexts[idx];
+            footprint.resize(spec.sockets, 0.0);
+            for &idx in active.iter() {
+                let ctx = &contexts[idx];
                 let fp = ctx.profile.phases()[ctx.phase_idx].footprint_mb;
                 let share = fp / ctx.allowed.len() as f64;
-                for &core in &ctx.allowed {
-                    footprint[self.spec.domain_of(core)] += share;
+                for run in ctx
+                    .allowed
+                    .chunk_by(|&a, &b| core_domain[a] == core_domain[b])
+                {
+                    let total = &mut footprint[core_domain[run[0]]];
+                    *total = run.iter().fold(*total, |sum, _| sum + share);
                 }
             }
+            pressure.clear();
+            pressure.extend(footprint.iter().map(|&fp| model.capacity_pressure(fp)));
         }
     }
 
     /// Round-robin, least-recently-run-first scheduling of active
-    /// contexts onto hardware-thread slots, written to `scratch.slots`.
-    fn schedule(&self, scratch: &mut Scratch) {
-        let smt = self.spec.smt_ways;
+    /// contexts onto hardware-thread slots, written to `scratch.slots`:
+    /// walks the run queue, which is already in that order.
+    fn schedule(&mut self) {
+        let Simulator {
+            spec,
+            contexts,
+            runqueue,
+            core_domain,
+            scratch,
+            ..
+        } = self;
         let Scratch {
             free,
             switch_factor,
             switch_mpki,
-            runnable,
             slots,
             ..
         } = scratch;
+        let smt = spec.smt_ways;
         free.clear();
-        free.resize(self.spec.cores, smt);
-
-        runnable.clear();
-        runnable.extend_from_slice(&self.active);
-        // Keys are unique, so the unstable (in-place) sort is exact.
-        runnable.sort_unstable_by_key(|&idx| (self.contexts[idx].last_run_ms, idx));
+        free.resize(spec.cores, smt);
 
         slots.clear();
-        for &idx in runnable.iter() {
-            let ctx = &self.contexts[idx];
+        for &idx in runqueue.iter() {
+            let ctx = &contexts[idx];
             if let Some(&core) = ctx.allowed.iter().find(|&&c| free[c] > 0) {
                 free[core] -= 1;
                 slots.push(Slot {
                     ctx: idx,
                     core,
-                    domain: self.spec.domain_of(core),
+                    domain: core_domain[core],
                     smt_busy: false,
                     switch_factor: switch_factor[core],
                     switch_mpki: switch_mpki[core],
@@ -738,8 +823,9 @@ impl Simulator {
     /// one invalidation signal (active set changed, or an active context
     /// changed phase):
     ///
-    /// 1. the live footprint is read from `scratch.footprint` as the
-    ///    occupancy cache left it, rebuilt only on that signal;
+    /// 1. the capacity pressure of the live footprint is read from
+    ///    `scratch.pressure` as the occupancy cache left it, rebuilt
+    ///    only on that signal;
     /// 2. the rounds stop after the first round past round 0 whose
     ///    damped demand equals its input demand bit for bit on every
     ///    domain — the snapshots are a function of that demand, so any
@@ -751,12 +837,20 @@ impl Simulator {
     ///
     /// The per-slot factors that no round changes are computed once per
     /// solve, the miss ratio once per slot per round and the coupling
-    /// factor once per domain per round, each in the operand order of
-    /// `private_cpi` and `stall_per_instr`, whose sum `advance` charges.
-    fn solve_congestion(&self, scratch: &mut Scratch, cycles_q: f64) {
+    /// factor once per domain per round, each as `advance` computes the
+    /// CPI it charges.
+    fn solve_congestion(&mut self, cycles_q: f64) {
+        let Simulator {
+            spec,
+            model,
+            contexts,
+            last_snapshots,
+            scratch,
+            ..
+        } = self;
         let Scratch {
             slots,
-            footprint,
+            pressure,
             running,
             terms,
             couple,
@@ -766,38 +860,31 @@ impl Simulator {
             ..
         } = scratch;
         running.clear();
-        running.resize(self.spec.sockets, 0);
+        running.resize(spec.sockets, 0);
         terms.clear();
         for slot in slots.iter() {
             running[slot.domain] += 1;
-            let ctx = &self.contexts[slot.ctx];
-            let phase = ctx.profile.phases()[ctx.phase_idx];
-            terms.push(SlotTerms {
-                domain: slot.domain,
-                private_base: self.private_base(slot, &phase),
-                mpki: phase.l2_mpki + slot.switch_mpki,
-                stall_base: Self::stall_base(slot, &phase),
-                l3_miss_ratio: phase.l3_miss_ratio,
-            });
+            let ctx = &contexts[slot.ctx];
+            terms.push(SlotTerms::new(
+                spec,
+                slot,
+                &ctx.profile.phases()[ctx.phase_idx],
+            ));
         }
 
         snapshots.clear();
-        snapshots.extend_from_slice(&self.last_snapshots);
+        snapshots.extend_from_slice(last_snapshots);
         for iter in 0..FIXED_POINT_ITERS {
             next.clear();
-            next.extend(footprint.iter().map(|&fp| ContentionInputs {
-                total_footprint_mb: fp,
-                ..Default::default()
-            }));
+            next.resize(spec.sockets, ContentionInputs::default());
             couple.clear();
-            couple.extend(snapshots.iter().map(|snapshot| self.coupling(snapshot)));
+            couple.extend(snapshots.iter().map(|snapshot| coupling(spec, snapshot)));
             for term in terms.iter() {
                 let snapshot = &snapshots[term.domain];
-                let miss = self
-                    .model
-                    .effective_miss_ratio(term.l3_miss_ratio, snapshot.capacity_pressure);
+                let miss =
+                    model.effective_miss_ratio(term.l3_miss_ratio, snapshot.capacity_pressure);
                 let private = term.private_base * couple[term.domain];
-                let stall = term.stall_base * self.model.post_l2_latency(snapshot, miss);
+                let stall = term.stall_base * model.post_l2_latency(snapshot, miss);
                 let instr_rate = cycles_q / (private + stall);
                 let l2_rate = instr_rate * term.mpki / 1000.0;
                 next[term.domain].l2_miss_rate += l2_rate;
@@ -817,68 +904,16 @@ impl Simulator {
                     break;
                 }
             }
-            for ((snapshot, demand), &count) in
-                snapshots.iter_mut().zip(next.iter()).zip(running.iter())
+            for (((snapshot, demand), &count), &pressure) in snapshots
+                .iter_mut()
+                .zip(next.iter())
+                .zip(running.iter())
+                .zip(pressure.iter())
             {
-                *snapshot = self.model.evaluate(*demand, count);
+                *snapshot = model.evaluate_at(*demand, pressure, count);
             }
             std::mem::swap(inputs, next);
         }
-    }
-
-    /// Private CPI of one scheduled context in the current congestion
-    /// state, including all private-CPI inflation factors.
-    fn private_cpi(
-        &self,
-        slot: &Slot,
-        phase: &crate::profile::ExecPhase,
-        snapshot: &CongestionSnapshot,
-    ) -> f64 {
-        self.private_base(slot, phase) * self.coupling(snapshot)
-    }
-
-    /// Private CPI before congestion coupling:
-    /// `cpi_private·switch_factor·smt`.
-    fn private_base(&self, slot: &Slot, phase: &crate::profile::ExecPhase) -> f64 {
-        let smt = if slot.smt_busy {
-            self.spec.smt_private_factor
-        } else {
-            1.0
-        };
-        phase.cpi_private * slot.switch_factor * smt
-    }
-
-    /// Factor by which congestion inflates private CPI. Congestion leaks
-    /// into private time through frequency-domain effects, TLB pressure
-    /// and prefetcher interference: mostly tracking capacity pressure,
-    /// plus the two utilisations.
-    fn coupling(&self, snapshot: &CongestionSnapshot) -> f64 {
-        let couple_metric = (snapshot.capacity_pressure
-            + snapshot.l3_port_utilization
-            + snapshot.bandwidth_utilization.min(1.2))
-        .min(2.0);
-        1.0 + self.spec.private_coupling * couple_metric
-    }
-
-    /// Stall cycles per instruction (the `T_shared` component) of one
-    /// scheduled context in the current congestion state.
-    fn stall_per_instr(
-        &self,
-        slot: &Slot,
-        phase: &crate::profile::ExecPhase,
-        snapshot: &CongestionSnapshot,
-    ) -> f64 {
-        let miss = self
-            .model
-            .effective_miss_ratio(phase.l3_miss_ratio, snapshot.capacity_pressure);
-        Self::stall_base(slot, phase) * self.model.post_l2_latency(snapshot, miss)
-    }
-
-    /// Stall cycles per instruction per cycle of post-L2 latency:
-    /// `(mpki/1000)·blocking`.
-    fn stall_base(slot: &Slot, phase: &crate::profile::ExecPhase) -> f64 {
-        let mpki = phase.l2_mpki + slot.switch_mpki;
-        (mpki / 1000.0) * phase.blocking
     }
 
     /// Advances one scheduled context through a quantum's cycles,
@@ -896,6 +931,8 @@ impl Simulator {
         let mut quantum_cycles = 0.0;
         let mut quantum_l3 = 0.0;
         let mut completed: Option<f64> = None;
+        // The snapshot is the quantum's, so its coupling is too.
+        let couple = coupling(&self.spec, snapshot);
 
         // Context-switch accounting: scheduled now after a gap (the run
         // stamp is the clock only after running in the previous quantum).
@@ -921,12 +958,13 @@ impl Simulator {
                     ctx.profile.startup_len(),
                 )
             };
-            let private = self.private_cpi(slot, &phase, snapshot);
-            let stall = self.stall_per_instr(slot, &phase, snapshot);
-            let cpi = private + stall;
+            let terms = SlotTerms::new(&self.spec, slot, &phase);
             let miss = self
                 .model
-                .effective_miss_ratio(phase.l3_miss_ratio, snapshot.capacity_pressure);
+                .effective_miss_ratio(terms.l3_miss_ratio, snapshot.capacity_pressure);
+            let private = terms.private_base * couple;
+            let stall = terms.stall_base * self.model.post_l2_latency(snapshot, miss);
+            let cpi = private + stall;
 
             let remaining = phase.instructions - instr_into_phase;
             let possible = cycles_left / cpi;
@@ -934,8 +972,7 @@ impl Simulator {
             let used_cycles = executed * cpi;
             cycles_left -= used_cycles;
 
-            let mpki = phase.l2_mpki + slot.switch_mpki;
-            let l2m = executed * mpki / 1000.0;
+            let l2m = executed * terms.mpki / 1000.0;
             let l3m = l2m * miss;
             quantum_instr += executed;
             quantum_cycles += used_cycles;
@@ -1374,7 +1411,7 @@ mod tests {
         builder.build().unwrap()
     }
 
-    /// Up to three launches, each half the time as a pair of twins: the
+    /// Up to five launches, each half the time as a pair of twins: the
     /// same phases at one footprint, the second stretched, on the same
     /// placement. Twins sharing a core alternate at equal demand until
     /// the shorter one changes phase, which leaves the live footprint as
@@ -1389,7 +1426,7 @@ mod tests {
                 0usize..2,
                 1.2f64..3.0,
             ),
-            0..4,
+            0..6,
         )
         .prop_map(|launches| {
             let mut out = Vec::new();
@@ -1407,14 +1444,29 @@ mod tests {
         })
     }
 
-    /// Rounds of launches, each followed by a number of quanta.
+    /// Rounds of launches, each followed by a number of quanta. Up to
+    /// 110 contexts land on the few cores around the boundary, so later
+    /// rounds launch into pools that are already time-sharing.
     fn arb_rounds() -> impl Strategy<Value = Vec<(Vec<Launch>, u64)>> {
-        prop::collection::vec((arb_launches(), 1u64..16), 1..8)
+        prop::collection::vec((arb_launches(), 1u64..16), 1..12)
+    }
+
+    /// Checks that the run queue holds exactly the active contexts in
+    /// ascending `(last_run_ms, index)` order, the order that sorting
+    /// them by that key gives.
+    fn check_runqueue(sim: &Simulator) -> std::result::Result<(), TestCaseError> {
+        let mut sorted: Vec<usize> = (0..sim.contexts.len())
+            .filter(|&idx| sim.contexts[idx].is_active())
+            .collect();
+        sorted.sort_unstable_by_key(|&idx| (sim.contexts[idx].last_run_ms, idx));
+        prop_assert_eq!(&sim.runqueue, &sorted);
+        Ok(())
     }
 
     /// Steps both simulators once, `fresh` with every reused
     /// intermediate dropped first, and checks that the quantum's events,
-    /// per-domain snapshots and L3 total agree bit for bit.
+    /// per-domain snapshots and L3 total agree bit for bit and that both
+    /// run queues are in order.
     fn lockstep(
         reusing: &mut Simulator,
         fresh: &mut Simulator,
@@ -1434,7 +1486,8 @@ mod tests {
             reusing.machine_l3_misses().to_bits(),
             fresh.machine_l3_misses().to_bits()
         );
-        Ok(())
+        check_runqueue(reusing)?;
+        check_runqueue(fresh)
     }
 
     proptest! {
@@ -1445,7 +1498,8 @@ mod tests {
         /// socket and on two sockets with SMT-2, a simulator that reuses
         /// its intermediates steps bit for bit like one that rebuilds
         /// and solves everything every quantum, through to the final
-        /// reports.
+        /// reports. After every launch round and every quantum, the kept
+        /// run queue equals the active contexts sorted by run stamp.
         #[test]
         fn reuse_equals_recomputing_every_quantum(rounds in arb_rounds(), dual in 0usize..2) {
             let spec = if dual == 1 { dual_smt() } else { MachineSpec::cascade_lake() };
@@ -1469,6 +1523,7 @@ mod tests {
                     prop_assert_eq!(a.clone(), b);
                     ids.push(a.unwrap());
                 }
+                check_runqueue(&reusing)?;
                 for _ in 0..steps {
                     lockstep(&mut reusing, &mut fresh)?;
                     quanta += 1;

@@ -47,14 +47,14 @@
 //! Within a quantum, each intermediate is recomputed only when one of
 //! its inputs changed and is otherwise reused bit for bit, so the output
 //! is exactly that of recomputing everything. One invalidation signal
-//! drives the reuse: it fires when the active set changes (a launch, or
-//! completions pruned at the end of a step) or when a step moves an
-//! active context to its next phase.
+//! drives the first three rules below: it fires when the active set
+//! changes (a launch, or completions pruned at the end of a step) or
+//! when a step moves an active context to its next phase.
 //!
 //! 1. **Occupancy caches.** Per-core load and the per-core switch
 //!    overheads are rebuilt only when the active set changed, the
-//!    per-domain live footprint only when the active set or a phase
-//!    changed.
+//!    per-domain live footprint and its capacity pressure only when the
+//!    active set or a phase changed.
 //! 2. **Exact fixed-point exit.** The damped rounds stop as soon as a
 //!    round after the first reproduces its input demand (every domain's
 //!    L2 and L3 miss rate) bit for bit. That demand is the iteration's
@@ -65,6 +65,11 @@
 //!    invalidated since the previous quantum, and the last solve returned
 //!    its starting snapshots bit for bit: the same inputs would return
 //!    them again.
+//! 4. **Kept run queue.** Scheduling walks the active contexts in
+//!    least-recently-run order in O(active), with no sort. The order is
+//!    kept, not rebuilt: a launch appends, and after each quantum the
+//!    contexts that ran move to the back in index order while completed
+//!    ones leave.
 //!
 //! [`Simulator::congestion_solves`] counts the quanta that still solved.
 //!

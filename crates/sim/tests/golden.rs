@@ -5,11 +5,13 @@
 //! step's completion events, every domain's congestion snapshot, the
 //! machine-wide L3 miss count and, at the end, every instance's full
 //! report. Any change to the quantum's arithmetic or scheduling, however
-//! small, moves a digest. The expected values come from a simulator that
-//! rebuilt every intermediate and ran every congestion solve to its full
-//! round count each quantum, so they pin the reuse in `Simulator::step`
-//! to that straightforward computation, bit for bit. Built on the public
-//! API only.
+//! small, moves a digest. The first six expected values come from a
+//! simulator that rebuilt every intermediate and ran every congestion
+//! solve to its full round count each quantum, so they pin the reuse in
+//! `Simulator::step` to that straightforward computation, bit for bit.
+//! The seventh comes from a simulator that sorted its active contexts by
+//! run stamp every quantum, so it pins the kept run queue to that sort.
+//! Built on the public API only.
 
 use litmus_sim::{
     CongestionSnapshot, Event, ExecPhase, ExecutionProfile, ExecutionReport, FrequencyGovernor,
@@ -110,11 +112,14 @@ impl Recorder {
         self.ids.push(id);
     }
 
-    /// Steps once and folds the quantum's observables.
-    fn step(&mut self) {
+    /// Steps once, folds the quantum's observables and returns the
+    /// instances that completed in it.
+    fn step(&mut self) -> Vec<InstanceId> {
+        let mut completed = Vec::new();
         for Event::Completed { id, at_ms } in self.sim.step() {
             self.digest.usize(id.as_usize());
             self.digest.f64(at_ms);
+            completed.push(id);
         }
         self.digest.u64(self.sim.now_ms());
         for domain in 0..self.sim.spec().sockets {
@@ -122,6 +127,7 @@ impl Recorder {
             self.digest.snapshot(&snapshot);
         }
         self.digest.f64(self.sim.machine_l3_misses());
+        completed
     }
 
     fn steps(&mut self, quanta: u64) {
@@ -299,6 +305,45 @@ fn dual_socket_smt_across_the_boundary() {
         "dual_socket_smt_across_the_boundary",
         rec.finish(),
         0x4b97_b121_c083_cc15,
+    );
+}
+
+/// The shape of a time-shared filler machine (§7.2): 20 startup-prefixed
+/// fillers rotate through an 8-core pool, each filler that completes is
+/// replaced by a fresh one before the next quantum, and a serving launch
+/// joins the saturated rotation every seventh quantum. For 2,000 quanta,
+/// launches land mid-rotation and completions leave from anywhere in it;
+/// then everything drains.
+#[test]
+fn saturated_pool_with_backfill_and_serving() {
+    let pool = || Placement::pool_range(0, 8);
+    let filler = |n: usize| with_startup(&format!("fill{n}"), 1 + n % 3, n);
+    let mut rec = Recorder::new(Simulator::new(MachineSpec::cascade_lake()));
+    let mut fillers = Vec::new();
+    for _ in 0..20 {
+        rec.launch(filler(fillers.len()), pool());
+        fillers.push(*rec.ids.last().unwrap());
+    }
+    for quantum in 0..2_000usize {
+        for id in rec.step() {
+            if fillers.contains(&id) {
+                rec.launch(filler(fillers.len()), pool());
+                fillers.push(*rec.ids.last().unwrap());
+            }
+        }
+        if quantum % 7 == 0 {
+            let serve = with_startup(&format!("serve{quantum}"), 2, quantum / 7);
+            if quantum % 14 == 0 {
+                rec.launch_sampled(serve, pool());
+            } else {
+                rec.launch(serve, pool());
+            }
+        }
+    }
+    assert_digest(
+        "saturated_pool_with_backfill_and_serving",
+        rec.finish(),
+        0xd861_2e1f_4ef0_5ed7,
     );
 }
 
