@@ -12,7 +12,7 @@
 //!   path and the per-stage breakdown: dispatch / scale / steal /
 //!   step under both engines, `fan-out` around each hand-off of two
 //!   or more busy machines to the worker pool with `barrier` as its
-//!   blocked part, and the event engine's queue / bulk-account;
+//!   blocked part, and the event engine's bulk-account;
 //! * **sparse** — a two-day fixture chain stretched to real-time
 //!   minutes and thinned hard, so almost every slice is empty: the
 //!   workload the event engine collapses. The file records the
@@ -166,7 +166,7 @@ fn driver() -> ClusterDriver<LitmusAware> {
 
 /// Plain Litmus-aware routing for the sparse arm: with elastic control
 /// off, the event engine may bulk-skip quiet boundaries instead of
-/// degrading to per-boundary probe ticks.
+/// visiting every one.
 fn sparse_driver() -> ClusterDriver<LitmusAware> {
     ClusterDriver::new(LitmusAware::new()).profiling(true)
 }
@@ -263,8 +263,7 @@ fn run_json(result: &RunResult, invocations: usize) -> String {
     obj.u64_field("sim_quanta", result.quanta);
     obj.u64_field("sim_solves", result.solves);
     // Wall-clock stage breakdown from the fastest rep — slice-vs-event
-    // lives here ("fan-out"/"barrier" and "queue"/"bulk-account"
-    // especially).
+    // lives here ("fan-out"/"barrier" and "bulk-account" especially).
     obj.raw_field("stages", &result.best.telemetry().profile().to_json());
     obj.finish()
 }

@@ -13,7 +13,6 @@ use litmus_workloads::Language;
 use crate::billing::BillingAggregator;
 use crate::context::ServingContext;
 use crate::error::ClusterError;
-use crate::events::{EventQueue, ReplayEvent};
 use crate::machine::{CompletionRecord, Machine, MachineConfig, MachineId};
 use crate::policy::{MachineSnapshot, PlacementPolicy};
 use crate::pool::{SteppingMode, WorkerPool};
@@ -741,10 +740,10 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
     /// Enables wall-clock profiling of the replay-loop stages: dispatch,
     /// scale, steal and step under both engines, `fan-out` around each
     /// hand-off of busy machines to worker threads with `barrier` as
-    /// its blocked part, plus the event engine's queue and
-    /// bulk-account. Profiling is excluded from the deterministic
-    /// telemetry export and from report equality, so it can stay on
-    /// during determinism checks.
+    /// its blocked part, plus the event engine's bulk-account.
+    /// Profiling is excluded from the deterministic telemetry export
+    /// and from report equality, so it can stay on during determinism
+    /// checks.
     pub fn profiling(mut self, enabled: bool) -> Self {
         self.telemetry.profiling = enabled;
         self
@@ -965,9 +964,31 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
         };
         self.active_alerts.clear();
 
-        match cluster.stepping {
-            SteppingMode::EventDriven => self.run_event_driven(cluster, &mut source, &mut state)?,
-            SteppingMode::Pooled => self.run_slices(cluster, &mut source, &mut state)?,
+        // The replay loop of both engines. Slice stepping (the oracle)
+        // processes every boundary. The event engine jumps to the next
+        // arrival's admitting boundary, bulk-skipping the quiet slices
+        // before it, but only with elastic control off: an autoscaler
+        // or stealing pass acts at every boundary (the forecaster
+        // observes every slice's admitted count, cooldown clocks
+        // advance per decision round), so then it visits every one.
+        // `fill_before` admits strictly-before, so an arrival at
+        // `at_ms` is admitted by the first boundary after it; a late
+        // (out-of-order) stamp clamps to the next boundary — exactly
+        // where slice stepping would admit it.
+        let skip_quiet = cluster.stepping == SteppingMode::EventDriven
+            && state.autoscaler.is_none()
+            && self.stealing.is_none();
+        while let Some(at_ms) = source.peek_at_ms() {
+            let horizon = state.now_ms + slice_ms;
+            let next = if skip_quiet {
+                ((at_ms / slice_ms + 1) * slice_ms).max(horizon)
+            } else {
+                horizon
+            };
+            if next - slice_ms > state.now_ms {
+                bulk_skip(cluster, &mut state, next - slice_ms)?;
+            }
+            self.process_slice(cluster, &mut source, &mut state, next)?;
         }
         self.drain(cluster, &mut state)?;
 
@@ -1112,79 +1133,6 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
             placements,
             sim_ms: now_ms,
         })
-    }
-
-    /// The slice-stepping replay loop — the oracle engine: every
-    /// boundary is processed whether or not anything happens there.
-    fn run_slices<S: TraceSource>(
-        &mut self,
-        cluster: &mut Cluster,
-        source: &mut ChunkedSource<S>,
-        state: &mut ReplayState,
-    ) -> Result<()> {
-        while !source.is_exhausted() {
-            let slice_end = state.now_ms + state.slice_ms;
-            self.process_slice(cluster, source, state, slice_end)?;
-        }
-        Ok(())
-    }
-
-    /// The discrete-event replay loop ([`SteppingMode::EventDriven`]):
-    /// per round, k-way-merge the boundary-generating streams — the
-    /// next trace arrival's admitting boundary, the autoscaler's probe
-    /// tick, pending boot commissions, the forecast sampling point —
-    /// into the [`EventQueue`], pop the earliest, bulk-skip the quiet
-    /// slices before it in O(1) bookkeeping, then process the slice
-    /// that ends at it exactly as the oracle would.
-    ///
-    /// With elastic control on (autoscaler or stealing), a probe tick
-    /// lands on every boundary — the forecaster must observe every
-    /// slice's admitted count and cooldown clocks advance per decision
-    /// round — so the engine degrades to boundary-by-boundary stepping
-    /// and the win comes from machine-level idle fast-forwarding
-    /// instead.
-    fn run_event_driven<S: TraceSource>(
-        &mut self,
-        cluster: &mut Cluster,
-        source: &mut ChunkedSource<S>,
-        state: &mut ReplayState,
-    ) -> Result<()> {
-        let mut queue = EventQueue::new();
-        while let Some(at_ms) = source.peek_at_ms() {
-            let queue_started = state.telemetry.profile().start();
-            queue.clear();
-            let horizon = state.now_ms + state.slice_ms;
-            // fill_before admits strictly-before, so an arrival at
-            // `at_ms` is admitted by the first boundary after it; a
-            // late (out-of-order) stamp clamps to the next boundary —
-            // exactly where slice stepping would admit it.
-            let admit = ((at_ms / state.slice_ms) + 1) * state.slice_ms;
-            queue.push(ReplayEvent::arrival(admit.max(horizon), 0));
-            if let Some(scaler) = &state.autoscaler {
-                queue.push(ReplayEvent::probe_tick(horizon));
-                for (slot, ready_ms) in scaler.pending_ready().enumerate() {
-                    let commission = ready_ms.div_ceil(state.slice_ms) * state.slice_ms;
-                    queue.push(ReplayEvent::boot_ready(
-                        commission.max(horizon),
-                        slot as u64,
-                    ));
-                }
-                if scaler.is_predictive() {
-                    queue.push(ReplayEvent::forecast(horizon));
-                }
-            }
-            if self.stealing.is_some() {
-                queue.push(ReplayEvent::probe_tick(horizon));
-            }
-            let next = queue.pop().expect("an arrival event was just pushed"); // lint:allow(panic-in-lib): an arrival was pushed onto the queue in the preceding statement
-            state.telemetry.profile_mut().stop("queue", queue_started);
-            let process_start = next.at_ms - state.slice_ms;
-            if process_start > state.now_ms {
-                bulk_skip(cluster, state, process_start)?;
-            }
-            self.process_slice(cluster, source, state, next.at_ms)?;
-        }
-        Ok(())
     }
 
     /// Processes one slice ending at `slice_end`, in the oracle's
@@ -1333,38 +1281,13 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
     /// boundary rounds until the cluster empties or the drain window
     /// closes. Both engines drain boundary-by-boundary — the replay's
     /// `sim_ms` must end at the *first* boundary where nothing is
-    /// outstanding, which only stepping each boundary can observe —
-    /// but the event engine discovers each round through
-    /// completion-watch and probe-tick events on its queue, so the two
-    /// code paths stay one.
+    /// outstanding, which only stepping each boundary can observe.
     fn drain(&mut self, cluster: &mut Cluster, state: &mut ReplayState) -> Result<()> {
         let drain_start_ms = state.now_ms;
         let drain_pending = cluster.outstanding();
         let deadline = drain_start_ms + cluster.drain_ms;
-        let event_mode = cluster.stepping == SteppingMode::EventDriven;
-        let mut queue = EventQueue::new();
         while cluster.outstanding() > 0 && state.now_ms < deadline {
-            let horizon = state.now_ms + state.slice_ms;
-            let next_ms = if event_mode {
-                queue.clear();
-                for machine in &cluster.machines {
-                    if machine.outstanding() > 0 {
-                        queue.push(ReplayEvent::completion(
-                            horizon,
-                            machine.id().index() as u64,
-                        ));
-                    }
-                }
-                if state.autoscaler.is_some() || self.stealing.is_some() {
-                    queue.push(ReplayEvent::probe_tick(horizon));
-                }
-                queue
-                    .pop()
-                    .map_or(horizon, |event| event.at_ms)
-                    .min(deadline)
-            } else {
-                horizon.min(deadline)
-            };
+            let next_ms = (state.now_ms + state.slice_ms).min(deadline);
             state.telemetry.inc("slices", 1);
             self.boundary(cluster, state, next_ms, 0)?;
             step_cluster(cluster, state, next_ms)?;
@@ -1386,8 +1309,8 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
 }
 
 /// Mutable state of one replay, threaded through the engine stages so
-/// the slice and event-driven loops share the exact same slice
-/// processing, boundary and drain code.
+/// both engines share the exact same slice processing, boundary and
+/// drain code.
 struct ReplayState {
     spec: MachineSpec,
     slice_ms: u64,
@@ -1510,7 +1433,7 @@ fn step_cluster(cluster: &mut Cluster, state: &mut ReplayState, target_ms: u64) 
     // Every record completing before `target_ms` is now drained, which
     // is exactly what finalizing the boundaries strictly before it
     // needs — so the online SLO engine advances here, on the shared
-    // path all three stepping entry points (slice, event, bulk skip)
+    // path all three stepping entry points (slice, bulk skip, drain)
     // funnel through.
     feed_slo_boundary(state, target_ms);
     Ok(())

@@ -15,11 +15,13 @@
 //!   machine whose latest startup probe predicts the smallest
 //!   slowdown);
 //! * [`ClusterDriver`] — replays a multi-tenant
-//!   [`litmus_platform::InvocationTrace`] per time-slice or event by
-//!   event, through one stepping funnel: idle machines fast-forward
-//!   and a lone busy machine steps on the driver thread, and only two
-//!   or more busy machines are handed to a persistent worker pool
-//!   (threads spawned once per cluster, waited for at a barrier);
+//!   [`litmus_platform::InvocationTrace`] slice boundary by slice
+//!   boundary (the event engine jumps over quiet slices when elastic
+//!   control is off), through one stepping funnel: idle machines
+//!   fast-forward and a lone busy machine steps on the driver thread,
+//!   and only two or more busy machines are handed to a persistent
+//!   worker pool (threads spawned once per cluster, waited for at a
+//!   barrier);
 //! * [`StealingConfig`] — slice-boundary work stealing: machines whose
 //!   queued-but-not-launched backlog exceeds a threshold re-dispatch
 //!   the excess to the machine with the best forward-adjusted probe
@@ -101,7 +103,6 @@ mod billing;
 mod context;
 mod driver;
 mod error;
-mod events;
 mod machine;
 mod policy;
 mod pool;
@@ -112,7 +113,6 @@ pub use billing::{BillingAggregator, BillingShard};
 pub use context::ServingContext;
 pub use driver::{Cluster, ClusterConfig, ClusterDriver, ClusterReport};
 pub use error::ClusterError;
-pub use events::{EventClass, EventQueue, ReplayEvent};
 pub use machine::{Machine, MachineConfig, MachineId};
 pub use policy::{
     LeastLoaded, LitmusAware, MachineSnapshot, PlacementPolicy, ProbeFreshness, RoundRobin,

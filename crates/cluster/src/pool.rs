@@ -38,11 +38,12 @@ pub enum SteppingMode {
     /// modes use the pool.)
     #[default]
     Pooled,
-    /// Discrete-event replay: the driver merges arrivals, completions,
-    /// probe ticks, scale/boot events and forecast sampling points
-    /// into one time-ordered queue and advances boundary-to-boundary.
-    /// Quiet stretches are bulk-skipped in O(1) per machine. Event-
-    /// driven replays are bit-identical to slice stepping (full
+    /// Event-driven replay: with elastic control off (no autoscaler,
+    /// no stealing) the driver jumps from one arrival's admitting
+    /// boundary to the next, bulk-skipping the quiet slices between
+    /// in O(1) per machine; with either on, an elastic decision is due
+    /// at every boundary, so it visits every one, like slice stepping.
+    /// Event-driven replays are bit-identical to slice stepping (full
     /// [`crate::ClusterReport`] and telemetry JSONL) at the same seed.
     EventDriven,
 }

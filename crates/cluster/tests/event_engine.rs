@@ -183,10 +183,9 @@ fn event_engine_matches_slice_oracle_across_policies_and_threads() {
 #[test]
 fn event_engine_matches_slice_oracle_with_elastic_control() {
     // Stealing + predictive autoscaling: every boundary is a decision
-    // round, so this exercises the engine's degenerate per-boundary
-    // path (probe ticks on every slice) plus boot-ready events. Span
-    // tracing at rate 1.0 puts the per-invocation chains into the
-    // compared byte stream too.
+    // round, so the event engine visits every boundary, including
+    // those where booted machines commission. Span tracing at rate 1.0
+    // puts the per-invocation chains into the compared byte stream too.
     let driver = || {
         ClusterDriver::new(LitmusAware::new())
             .telemetry(TelemetryConfig::default().trace_sampling(0x0B5E, 1.0))
@@ -277,6 +276,52 @@ fn all_idle_gap_costs_zero_machine_quanta() {
             "{stepping:?}: gap not replayed in full"
         );
         assert_eq!(report_short.completed, report_long.completed);
+    }
+}
+
+#[test]
+fn quiet_slices_are_skipped_only_without_elastic_control() {
+    // Skipping is invisible in the output (that is the oracle
+    // contract), so count the boundaries each engine stepped: one
+    // `step` stage call per stepped boundary, while the `slices`
+    // counter also counts every bulk-skipped one.
+    let trace = gapped_trace(10 * 60_000);
+    let boundaries = |driver: ClusterDriver<RoundRobin>, stepping| {
+        let (report, _) = replay(
+            driver.profiling(true),
+            quiet_config(3, 2).stepping(stepping),
+            trace.source(),
+        );
+        let steps = report
+            .telemetry()
+            .profile()
+            .stage("step")
+            .map_or(0, |stat| stat.calls);
+        (steps, report.telemetry().registry().counter("slices"))
+    };
+
+    let (slice_steps, slices) =
+        boundaries(ClusterDriver::new(RoundRobin::new()), SteppingMode::Pooled);
+    assert!(slices > 10 * 60_000 / 20, "the gap was not replayed");
+    assert_eq!(slice_steps, slices, "slice stepping skipped a boundary");
+    let (event_steps, event_slices) = boundaries(
+        ClusterDriver::new(RoundRobin::new()),
+        SteppingMode::EventDriven,
+    );
+    assert_eq!(event_slices, slices);
+    assert!(
+        event_steps < 10,
+        "the event engine stepped {event_steps} boundaries"
+    );
+
+    // Stealing acts at every boundary, so neither engine may skip one.
+    for stepping in [SteppingMode::Pooled, SteppingMode::EventDriven] {
+        let stealing = ClusterDriver::new(RoundRobin::new()).stealing(StealingConfig::default());
+        assert_eq!(
+            boundaries(stealing, stepping),
+            (slices, slices),
+            "{stepping:?}"
+        );
     }
 }
 

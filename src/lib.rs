@@ -72,9 +72,9 @@ pub use litmus_workloads as workloads;
 pub mod prelude {
     pub use litmus_cluster::{
         AutoscalerConfig, BillingAggregator, Cluster, ClusterConfig, ClusterDriver, ClusterReport,
-        EventClass, EventQueue, ForecastSample, LeastLoaded, LitmusAware, MachineConfig, MachineId,
-        PlacementPolicy, PredictiveConfig, ProbeFreshness, ReplayEvent, RoundRobin, ScaleEvent,
-        ScaleKind, ScaleReason, ScalingPolicy, StealEvent, StealingConfig, SteppingMode,
+        ForecastSample, LeastLoaded, LitmusAware, MachineConfig, MachineId, PlacementPolicy,
+        PredictiveConfig, ProbeFreshness, RoundRobin, ScaleEvent, ScaleKind, ScaleReason,
+        ScalingPolicy, StealEvent, StealingConfig, SteppingMode,
     };
     pub use litmus_core::{
         BillingLedger, BillingSummary, CommercialPricing, CongestionIndex, DiscountModel,
