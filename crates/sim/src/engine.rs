@@ -9,15 +9,16 @@ use crate::report::{ExecutionReport, StartupReport};
 use crate::spec::MachineSpec;
 use crate::Result;
 
-/// Cap on the rounds of the per-quantum congestion fixed point. Demand
-/// and latency feed back into each other; eight damped rounds are enough
-/// for well under 0.1% residual at the loads the experiments use. The
-/// rounds stop before the cap once a round reproduces its input demand
-/// bit for bit: that demand is the iteration's whole state, so every
-/// remaining round would recompute the same bits. Around the solve,
-/// [`Simulator::step`] rebuilds the occupancy it reads and re-runs it at
-/// all only when its one invalidation signal fired (active set or a
-/// phase changed) or the plan or snapshots moved; see there.
+/// Cap on the rounds of each sharing domain's per-quantum congestion
+/// fixed point. Demand and latency feed back into each other; eight
+/// damped rounds are enough for well under 0.1% residual at the loads
+/// the experiments use. A domain's rounds stop before the cap once a
+/// round reproduces its input demand bit for bit: that demand is the
+/// domain's whole state, so every remaining round would recompute the
+/// same bits. Around the solve, [`Simulator::step`] rebuilds the
+/// occupancy it reads and re-runs it at all only when its one
+/// invalidation signal fired (active set or a phase changed) or the plan
+/// or snapshots moved; see there.
 const FIXED_POINT_ITERS: usize = 8;
 
 /// Safety horizon for [`Simulator::run_to_completion`], in quanta (ms).
@@ -178,8 +179,9 @@ struct Slot {
 
 /// A scheduled slot's factors for one phase of its context: fixed
 /// through the rounds of a congestion solve and through the part of a
-/// quantum that `Simulator::advance` spends in that phase. The solve and
-/// `advance` both build them here, so both charge the same bits.
+/// quantum that `Simulator::advance` spends in that phase. The solve
+/// builds them once and `advance` starts from them, rebuilding them here
+/// only after a phase change, so both charge the same bits.
 #[derive(Debug, Clone, Copy)]
 struct SlotTerms {
     domain: usize,
@@ -190,11 +192,22 @@ struct SlotTerms {
     /// `(mpki/1000)·blocking`: stall cycles per instruction per cycle
     /// of post-L2 latency.
     stall_base: f64,
+    /// The phase's solo L3 miss ratio.
     l3_miss_ratio: f64,
+    /// [`ContentionModel::effective_miss_ratio`] at the domain's capacity
+    /// pressure: the steady miss ratio, which every snapshot the solve
+    /// evaluates carries.
+    miss: f64,
 }
 
 impl SlotTerms {
-    fn new(spec: &MachineSpec, slot: &Slot, phase: &ExecPhase) -> Self {
+    fn new(
+        spec: &MachineSpec,
+        model: &ContentionModel,
+        slot: &Slot,
+        phase: &ExecPhase,
+        pressure: f64,
+    ) -> Self {
         let smt = if slot.smt_busy {
             spec.smt_private_factor
         } else {
@@ -207,7 +220,25 @@ impl SlotTerms {
             mpki,
             stall_base: (mpki / 1000.0) * phase.blocking,
             l3_miss_ratio: phase.l3_miss_ratio,
+            miss: model.effective_miss_ratio(phase.l3_miss_ratio, pressure),
         }
+    }
+
+    /// The L2 misses per quantum the slot issues under `snapshot`, with
+    /// coupling factor `couple` and effective miss ratio `miss`: the
+    /// instruction rate at the CPI that `advance` charges, times `mpki`.
+    fn l2_rate(
+        &self,
+        model: &ContentionModel,
+        snapshot: &CongestionSnapshot,
+        couple: f64,
+        miss: f64,
+        cycles_q: f64,
+    ) -> f64 {
+        let private = self.private_base * couple;
+        let stall = self.stall_base * model.post_l2_latency(snapshot, miss);
+        let instr_rate = cycles_q / (private + stall);
+        instr_rate * self.mpki / 1000.0
     }
 }
 
@@ -236,9 +267,14 @@ struct Scratch {
     load: Vec<f64>,
     /// [`MachineSpec::switch_factor`] and [`MachineSpec::switch_mpki`]
     /// per core at its `load`, the Fig. 14 switch overheads. Rebuilt
-    /// with `load`.
+    /// with `load`, once per run of bit-equal loads.
     switch_factor: Vec<f64>,
     switch_mpki: Vec<f64>,
+    /// Hardware threads on the cores some active context may use:
+    /// `smt_ways` × the cores with non-zero `load`. Rebuilt with `load`.
+    /// A plan that fills this many leaves every queued context's cores
+    /// full.
+    reachable: usize,
     /// The quantum's plan, ascending by context.
     slots: Vec<Slot>,
     /// The previous quantum's plan.
@@ -248,15 +284,10 @@ struct Scratch {
     /// the active set or a phase changes.
     footprint: Vec<f64>,
     pressure: Vec<f64>,
-    /// Running contexts per domain.
-    running: Vec<usize>,
-    /// The solve's per-slot factors, in plan order.
+    /// The last solve's per-slot factors, in plan order: `advance`
+    /// starts each slot from its entry. A reused solve's plan is the
+    /// last solve's, so they still hold.
     terms: Vec<SlotTerms>,
-    /// Private-CPI coupling factor per domain for the current round.
-    couple: Vec<f64>,
-    /// The fixed point's previous and current demand per domain.
-    inputs: Vec<ContentionInputs>,
-    next: Vec<ContentionInputs>,
     /// Snapshots being solved; swapped into `last_snapshots` afterwards.
     snapshots: Vec<CongestionSnapshot>,
     /// Whether the last solve returned its starting snapshots bit for
@@ -302,6 +333,13 @@ pub struct Simulator {
     /// Quanta that ran the congestion fixed point.
     solves: u64,
     scratch: Scratch,
+    /// Take the straightforward form of each rule of [`Simulator::step`]
+    /// that has a faster one: the joint fixed point over every domain
+    /// with each slot's miss ratio re-derived every round, the whole run
+    /// queue walked, and `advance` building its own terms for every
+    /// phase. The exactness proptest steps against it.
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl Simulator {
@@ -340,6 +378,8 @@ impl Simulator {
             changed: Change::default(),
             solves: 0,
             scratch: Scratch::default(),
+            #[cfg(test)]
+            reference: false,
         }
     }
 
@@ -507,11 +547,17 @@ impl Simulator {
     /// phase.
     ///
     /// 1. Per-core load and switch overheads are rebuilt only when the
-    ///    active set changed; the per-domain live footprint and its
-    ///    capacity pressure only when the active set or a phase changed.
-    /// 2. The damped fixed point stops as soon as a round after the
-    ///    first reproduces its input demand bit for bit
-    ///    (`FIXED_POINT_ITERS` is the cap).
+    ///    active set changed, the overheads once per run of bit-equal
+    ///    loads; the per-domain live footprint and its capacity pressure
+    ///    only when the active set or a phase changed.
+    /// 2. Each sharing domain runs its own damped fixed point, which
+    ///    stops as soon as a round after the first reproduces the
+    ///    domain's input demand bit for bit (`FIXED_POINT_ITERS` is the
+    ///    cap). Domains are independent: a slot reads only its own
+    ///    domain's snapshot and a domain's demand sums only its own
+    ///    slots, so once a domain's demand repeats, every later round of
+    ///    a joint loop over all domains would re-evaluate the same bits
+    ///    for it.
     /// 3. The solve is skipped, keeping the previous snapshots, when
     ///    this quantum's plan equals the previous one slot for slot (as
     ///    bits), nothing was invalidated since the previous quantum, and
@@ -522,6 +568,18 @@ impl Simulator {
     ///    appends to it; after a quantum the contexts that ran move to
     ///    the back in index order and completed ones leave, which is the
     ///    order sorting by run stamp would give.
+    /// 5. Each slot's effective miss ratio is computed once per solve,
+    ///    not once per round: round 0 reads the starting snapshot's
+    ///    capacity pressure, and every later round reads a snapshot that
+    ///    `evaluate_at` built at the domain's current pressure.
+    /// 6. `advance` charges each slot's first phase with the solve's
+    ///    terms and steady miss ratio and rebuilds them only after a
+    ///    phase change within the quantum. Under rule 3 the stored terms
+    ///    still hold: reuse requires the same plan with nothing
+    ///    invalidated.
+    /// 7. Scheduling stops once the plan fills every reachable hardware
+    ///    thread (`smt_ways` × the cores some active context may use):
+    ///    every context still queued would find its cores full.
     ///
     /// [`Simulator::congestion_solves`] counts the quanta that solved.
     pub fn step(&mut self) -> Vec<Event> {
@@ -551,13 +609,19 @@ impl Simulator {
 
         let mut events = Vec::new();
         let mut machine_l3_this_quantum = 0.0;
-        // By index, copying each slot: `advance` borrows the simulator.
+        // By index, copying each slot and its terms: `advance` borrows
+        // the simulator.
         for i in 0..self.scratch.slots.len() {
             let slot = self.scratch.slots[i];
+            let terms = self.scratch.terms[i];
             let snapshot = self.last_snapshots[slot.domain];
-            if let Some(event) =
-                self.advance(&slot, cycles_q, &snapshot, &mut machine_l3_this_quantum)
-            {
+            if let Some(event) = self.advance(
+                &slot,
+                terms,
+                cycles_q,
+                &snapshot,
+                &mut machine_l3_this_quantum,
+            ) {
                 events.push(event);
             }
         }
@@ -694,9 +758,9 @@ impl Simulator {
     }
 
     /// Rebuilds the occupancy caches that `changed` made stale: per-core
-    /// load and switch overheads after an active-set change, and the
-    /// per-domain live footprint and capacity pressure after that or a
-    /// phase change.
+    /// load, switch overheads and reachable threads after an active-set
+    /// change, and the per-domain live footprint and capacity pressure
+    /// after that or a phase change.
     fn refresh_occupancy(&mut self, changed: Change) {
         let Simulator {
             spec,
@@ -712,6 +776,7 @@ impl Simulator {
                 load,
                 switch_factor,
                 switch_mpki,
+                reachable,
                 ..
             } = &mut *scratch;
             load.clear();
@@ -723,14 +788,18 @@ impl Simulator {
                     load[core] += share;
                 }
             }
+            // The overheads are a function of the load's bits, so a run
+            // of equal loads (a pool's cores) computes them once.
             let smt = spec.smt_ways as f64;
             switch_factor.clear();
             switch_mpki.clear();
-            for &core_load in load.iter() {
-                let co_resident = (core_load / smt).max(1.0);
-                switch_factor.push(spec.switch_factor(co_resident));
-                switch_mpki.push(spec.switch_mpki(co_resident));
+            for run in load.chunk_by(|a, b| a.to_bits() == b.to_bits()) {
+                let co_resident = (run[0] / smt).max(1.0);
+                let len = switch_factor.len() + run.len();
+                switch_factor.resize(len, spec.switch_factor(co_resident));
+                switch_mpki.resize(len, spec.switch_mpki(co_resident));
             }
+            *reachable = spec.smt_ways * load.iter().filter(|&&core_load| core_load > 0.0).count();
         }
         if changed >= Change::Phase {
             // A context's working set lands on the domains its allowed
@@ -764,8 +833,16 @@ impl Simulator {
 
     /// Round-robin, least-recently-run-first scheduling of active
     /// contexts onto hardware-thread slots, written to `scratch.slots`:
-    /// walks the run queue, which is already in that order.
+    /// walks the run queue, which is already in that order, until the
+    /// plan fills every reachable thread.
     fn schedule(&mut self) {
+        let reachable = self.scratch.reachable;
+        #[cfg(test)]
+        let reachable = if self.reference {
+            usize::MAX
+        } else {
+            reachable
+        };
         let Simulator {
             spec,
             contexts,
@@ -798,6 +875,9 @@ impl Simulator {
                     switch_factor: switch_factor[core],
                     switch_mpki: switch_mpki[core],
                 });
+                if slots.len() == reachable {
+                    break;
+                }
             }
         }
         // Post-pass: mark SMT siblings (a core's occupancy is
@@ -818,27 +898,33 @@ impl Simulator {
     /// what makes heavily time-shared machines (§7.2) more congested
     /// than one-function-per-core setups with the same running count.
     ///
-    /// Solves from `last_snapshots` into `scratch.snapshots`. The three
-    /// reuse rules of [`Simulator::step`] meet here, all driven by its
-    /// one invalidation signal (active set changed, or an active context
-    /// changed phase):
+    /// Solves from `last_snapshots` into `scratch.snapshots`, and leaves
+    /// the per-slot factors in `scratch.terms` for `advance`. Four rules
+    /// of [`Simulator::step`] meet here:
     ///
-    /// 1. the capacity pressure of the live footprint is read from
-    ///    `scratch.pressure` as the occupancy cache left it, rebuilt
-    ///    only on that signal;
-    /// 2. the rounds stop after the first round past round 0 whose
-    ///    damped demand equals its input demand bit for bit on every
-    ///    domain — the snapshots are a function of that demand, so any
-    ///    further round would reproduce them exactly — and
-    ///    `FIXED_POINT_ITERS` only caps them;
-    /// 3. `step` does not call this at all when the plan is unchanged,
-    ///    the signal has not fired and the last solve returned its
-    ///    starting snapshots, since it would return them again.
+    /// * (rule 1) the capacity pressure of the live footprint is read
+    ///   from `scratch.pressure` as the occupancy cache left it, rebuilt
+    ///   only on the invalidation signal (active set changed, or an
+    ///   active context changed phase);
+    /// * (rule 2) each domain iterates alone, its demand, snapshot and
+    ///   coupling in locals, and stops after the first round past round
+    ///   0 whose damped demand equals its input demand bit for bit — the
+    ///   snapshot is a function of that demand, so any further round
+    ///   would reproduce it exactly — with `FIXED_POINT_ITERS` as the
+    ///   cap. A slot reads only its domain's snapshot and a domain's
+    ///   demand sums only its slots, so this is the joint loop's result;
+    /// * (rule 3) `step` does not call this at all when the plan is
+    ///   unchanged, the signal has not fired and the last solve returned
+    ///   its starting snapshots, since it would return them again;
+    /// * (rule 5) each slot's effective miss ratio is derived per solve,
+    ///   not per round: from the starting snapshot's capacity pressure
+    ///   for round 0, and as the terms' steady `miss` from the domain's
+    ///   pressure for every later round, whose snapshot `evaluate_at`
+    ///   built at that pressure.
     ///
-    /// The per-slot factors that no round changes are computed once per
-    /// solve, the miss ratio once per slot per round and the coupling
-    /// factor once per domain per round, each as `advance` computes the
-    /// CPI it charges.
+    /// The other per-slot factors are computed once per solve and the
+    /// coupling factor once per domain per round, each as `advance`
+    /// computes the CPI it charges.
     fn solve_congestion(&mut self, cycles_q: f64) {
         let Simulator {
             spec,
@@ -851,34 +937,94 @@ impl Simulator {
         let Scratch {
             slots,
             pressure,
-            running,
             terms,
-            couple,
-            inputs,
-            next,
             snapshots,
             ..
         } = scratch;
-        running.clear();
-        running.resize(spec.sockets, 0);
         terms.clear();
-        for slot in slots.iter() {
-            running[slot.domain] += 1;
+        terms.extend(slots.iter().map(|slot| {
             let ctx = &contexts[slot.ctx];
-            terms.push(SlotTerms::new(
-                spec,
-                slot,
-                &ctx.profile.phases()[ctx.phase_idx],
-            ));
+            let phase = &ctx.profile.phases()[ctx.phase_idx];
+            SlotTerms::new(spec, model, slot, phase, pressure[slot.domain])
+        }));
+        #[cfg(test)]
+        if self.reference {
+            self.solve_jointly(cycles_q);
+            return;
         }
 
         snapshots.clear();
+        for (domain, (start, &pressure)) in last_snapshots.iter().zip(pressure.iter()).enumerate() {
+            let in_domain = || terms.iter().filter(move |term| term.domain == domain);
+            let demand = |l2_miss_rate, l3_miss_rate| ContentionInputs {
+                l2_miss_rate,
+                l3_miss_rate,
+                ..ContentionInputs::default()
+            };
+            // Round 0 reads the starting snapshot, whose capacity
+            // pressure may predate the current footprint.
+            let couple = coupling(spec, start);
+            let (mut l2, mut l3, mut running) = (0.0, 0.0, 0);
+            for term in in_domain() {
+                let miss = model.effective_miss_ratio(term.l3_miss_ratio, start.capacity_pressure);
+                let l2_rate = term.l2_rate(model, start, couple, miss, cycles_q);
+                l2 += l2_rate;
+                l3 += l2_rate * miss;
+                running += 1;
+            }
+            let mut snapshot = model.evaluate_at(demand(l2, l3), pressure, running);
+            for _ in 1..FIXED_POINT_ITERS {
+                let couple = coupling(spec, &snapshot);
+                let (mut next_l2, mut next_l3) = (0.0, 0.0);
+                for term in in_domain() {
+                    let l2_rate = term.l2_rate(model, &snapshot, couple, term.miss, cycles_q);
+                    next_l2 += l2_rate;
+                    next_l3 += l2_rate * term.miss;
+                }
+                // Damping stabilises queueing near saturation.
+                let next_l2 = 0.5 * (l2 + next_l2);
+                let next_l3 = 0.5 * (l3 + next_l3);
+                // `snapshot` is already the evaluation of `(l2, l3)`.
+                if next_l2.to_bits() == l2.to_bits() && next_l3.to_bits() == l3.to_bits() {
+                    break;
+                }
+                (l2, l3) = (next_l2, next_l3);
+                snapshot = model.evaluate_at(demand(l2, l3), pressure, running);
+            }
+            snapshots.push(snapshot);
+        }
+    }
+
+    /// The joint fixed point over every domain, each slot's miss ratio
+    /// re-derived from its domain's snapshot every round, stopping when
+    /// every domain's demand repeats: the straightforward form of the
+    /// per-domain solve, which it must reproduce bit for bit. Reads the
+    /// terms `solve_congestion` built.
+    #[cfg(test)]
+    fn solve_jointly(&mut self, cycles_q: f64) {
+        let Simulator {
+            spec,
+            model,
+            last_snapshots,
+            scratch,
+            ..
+        } = self;
+        let Scratch {
+            pressure,
+            terms,
+            snapshots,
+            ..
+        } = scratch;
+        let mut running = vec![0; spec.sockets];
+        for term in terms.iter() {
+            running[term.domain] += 1;
+        }
+        snapshots.clear();
         snapshots.extend_from_slice(last_snapshots);
+        let mut inputs = vec![ContentionInputs::default(); spec.sockets];
         for iter in 0..FIXED_POINT_ITERS {
-            next.clear();
-            next.resize(spec.sockets, ContentionInputs::default());
-            couple.clear();
-            couple.extend(snapshots.iter().map(|snapshot| coupling(spec, snapshot)));
+            let mut next = vec![ContentionInputs::default(); spec.sockets];
+            let couple: Vec<f64> = snapshots.iter().map(|s| coupling(spec, s)).collect();
             for term in terms.iter() {
                 let snapshot = &snapshots[term.domain];
                 let miss =
@@ -891,37 +1037,34 @@ impl Simulator {
                 next[term.domain].l3_miss_rate += l2_rate * miss;
             }
             if iter > 0 {
-                for (demand, input) in next.iter_mut().zip(inputs.iter()) {
-                    // Damping stabilises queueing near saturation.
+                for (demand, input) in next.iter_mut().zip(&inputs) {
                     demand.l2_miss_rate = 0.5 * (input.l2_miss_rate + demand.l2_miss_rate);
                     demand.l3_miss_rate = 0.5 * (input.l3_miss_rate + demand.l3_miss_rate);
                 }
-                // `snapshots` is already the evaluation of `inputs`.
-                if next.iter().zip(inputs.iter()).all(|(demand, input)| {
+                if next.iter().zip(&inputs).all(|(demand, input)| {
                     demand.l2_miss_rate.to_bits() == input.l2_miss_rate.to_bits()
                         && demand.l3_miss_rate.to_bits() == input.l3_miss_rate.to_bits()
                 }) {
                     break;
                 }
             }
-            for (((snapshot, demand), &count), &pressure) in snapshots
-                .iter_mut()
-                .zip(next.iter())
-                .zip(running.iter())
-                .zip(pressure.iter())
-            {
-                *snapshot = model.evaluate_at(*demand, pressure, count);
+            for (domain, snapshot) in snapshots.iter_mut().enumerate() {
+                *snapshot = model.evaluate_at(next[domain], pressure[domain], running[domain]);
             }
-            std::mem::swap(inputs, next);
+            inputs = next;
         }
     }
 
     /// Advances one scheduled context through a quantum's cycles,
     /// handling phase boundaries, startup-window snapshots and
     /// completion. Returns a completion event if the profile ended.
+    ///
+    /// `terms` are the solve's for the context's current phase; a phase
+    /// change within the quantum rebuilds them for the next one.
     fn advance(
         &mut self,
         slot: &Slot,
+        mut terms: SlotTerms,
         cycles_q: f64,
         snapshot: &CongestionSnapshot,
         machine_l3: &mut f64,
@@ -958,10 +1101,17 @@ impl Simulator {
                     ctx.profile.startup_len(),
                 )
             };
-            let terms = SlotTerms::new(&self.spec, slot, &phase);
-            let miss = self
-                .model
-                .effective_miss_ratio(terms.l3_miss_ratio, snapshot.capacity_pressure);
+            #[cfg(test)]
+            if self.reference {
+                terms = SlotTerms::new(
+                    &self.spec,
+                    &self.model,
+                    slot,
+                    &phase,
+                    snapshot.capacity_pressure,
+                );
+            }
+            let miss = terms.miss;
             let private = terms.private_base * couple;
             let stall = terms.stall_base * self.model.post_l2_latency(snapshot, miss);
             let cpi = private + stall;
@@ -1010,6 +1160,13 @@ impl Simulator {
                     completed = Some(at);
                     break;
                 }
+                terms = SlotTerms::new(
+                    &self.spec,
+                    &self.model,
+                    slot,
+                    &ctx.profile.phases()[ctx.phase_idx],
+                    snapshot.capacity_pressure,
+                );
             } else {
                 ctx.instr_into_phase = instr_into_phase + executed;
             }
@@ -1334,12 +1491,21 @@ mod tests {
         assert!(fast.wall_ms() < slow.wall_ms());
     }
 
-    /// Two sockets with two-way SMT, so that stepping crosses sharing
-    /// domains and pairs SMT siblings.
-    fn dual_smt() -> MachineSpec {
-        let mut spec = MachineSpec::cascade_lake_dual();
+    /// `spec` with two-way SMT, so that stepping pairs SMT siblings.
+    fn with_smt(mut spec: MachineSpec) -> MachineSpec {
         spec.smt_ways = 2;
         spec
+    }
+
+    /// One socket; one socket with SMT-2, where the few occupied cores'
+    /// threads fill while the rest stay free; or two sockets with
+    /// SMT-2, so that stepping also crosses sharing domains.
+    fn arb_spec() -> impl Strategy<Value = MachineSpec> {
+        (0usize..3).prop_map(|kind| match kind {
+            0 => MachineSpec::cascade_lake(),
+            1 => with_smt(MachineSpec::cascade_lake()),
+            _ => with_smt(MachineSpec::cascade_lake_dual()),
+        })
     }
 
     fn arb_phase() -> impl Strategy<Value = ExecPhase> {
@@ -1464,9 +1630,9 @@ mod tests {
     }
 
     /// Steps both simulators once, `fresh` with every reused
-    /// intermediate dropped first, and checks that the quantum's events,
-    /// per-domain snapshots and L3 total agree bit for bit and that both
-    /// run queues are in order.
+    /// intermediate dropped first, and checks that the quantum's plan,
+    /// events, per-domain snapshots and L3 total agree bit for bit and
+    /// that both run queues are in order.
     fn lockstep(
         reusing: &mut Simulator,
         fresh: &mut Simulator,
@@ -1479,6 +1645,13 @@ mod tests {
                 .collect()
         };
         prop_assert_eq!(bits(reusing.step()), bits(fresh.step()));
+        // The plan just stepped is kept as the previous one.
+        prop_assert!(
+            same_plan(&reusing.scratch.prev_slots, &fresh.scratch.prev_slots),
+            "plans diverged: {:?} vs {:?}",
+            reusing.scratch.prev_slots,
+            fresh.scratch.prev_slots
+        );
         for (a, b) in reusing.last_snapshots.iter().zip(&fresh.last_snapshots) {
             prop_assert!(same_snapshot(a, b), "snapshots diverged: {a:?} vs {b:?}");
         }
@@ -1495,16 +1668,18 @@ mod tests {
 
         /// Reuse is exact: over random launch/step schedules with pinned
         /// and pooled placements, startup phases and sampling, on one
-        /// socket and on two sockets with SMT-2, a simulator that reuses
-        /// its intermediates steps bit for bit like one that rebuilds
-        /// and solves everything every quantum, through to the final
-        /// reports. After every launch round and every quantum, the kept
-        /// run queue equals the active contexts sorted by run stamp.
+        /// socket with and without SMT-2 and on two sockets with SMT-2,
+        /// a simulator that reuses its intermediates and takes every fast
+        /// path steps bit for bit like one that rebuilds and solves
+        /// everything every quantum, in the straightforward form of each
+        /// rule (`Simulator::reference`), through to the final reports.
+        /// After every launch round and every quantum, the kept run queue
+        /// equals the active contexts sorted by run stamp.
         #[test]
-        fn reuse_equals_recomputing_every_quantum(rounds in arb_rounds(), dual in 0usize..2) {
-            let spec = if dual == 1 { dual_smt() } else { MachineSpec::cascade_lake() };
+        fn reuse_equals_recomputing_every_quantum(rounds in arb_rounds(), spec in arb_spec()) {
             let mut reusing = Simulator::new(spec.clone());
             let mut fresh = Simulator::new(spec);
+            fresh.reference = true;
             let mut ids = Vec::new();
             let mut quanta = 0u64;
             for (launches, steps) in rounds {

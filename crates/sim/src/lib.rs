@@ -52,14 +52,21 @@
 //! when a step moves an active context to its next phase.
 //!
 //! 1. **Occupancy caches.** Per-core load and the per-core switch
-//!    overheads are rebuilt only when the active set changed, the
-//!    per-domain live footprint and its capacity pressure only when the
-//!    active set or a phase changed.
-//! 2. **Exact fixed-point exit.** The damped rounds stop as soon as a
-//!    round after the first reproduces its input demand (every domain's
-//!    L2 and L3 miss rate) bit for bit. That demand is the iteration's
-//!    whole state, so every remaining round would recompute the same
-//!    bits; the round count is only a cap.
+//!    overheads are rebuilt only when the active set changed (the
+//!    overheads once per run of bit-equal loads, since they are a
+//!    function of the load), the per-domain live footprint and its
+//!    capacity pressure only when the active set or a phase changed.
+//! 2. **Exact fixed-point exit, per domain.** Each sharing domain runs
+//!    its own damped fixed point, with its demand, snapshot and coupling
+//!    in locals, and stops as soon as a round after the first
+//!    reproduces its input demand (the domain's L2 and L3 miss rate)
+//!    bit for bit. That demand is the domain's whole state, so every
+//!    remaining round would recompute the same bits; the round count is
+//!    only a cap. Solving the domains one at a time equals solving them
+//!    jointly: a slot reads only its own domain's snapshot and a
+//!    domain's demand sums only its own slots, so once one domain's
+//!    demand repeats, every later joint round re-evaluates the same bits
+//!    for it.
 //! 3. **Solve reuse.** The solve is skipped when this quantum's plan
 //!    equals the previous one slot for slot (as bits), nothing was
 //!    invalidated since the previous quantum, and the last solve returned
@@ -70,6 +77,20 @@
 //!    kept, not rebuilt: a launch appends, and after each quantum the
 //!    contexts that ran move to the back in index order while completed
 //!    ones leave.
+//! 5. **Miss ratios once per solve.** Each slot's effective L3 miss
+//!    ratio is derived per solve, not per round: round 0 derives it from
+//!    the starting snapshot's capacity pressure, and every later round
+//!    reads one derived from the domain's current pressure, which every
+//!    snapshot the solve evaluates carries.
+//! 6. **Terms shared with the step.** The per-slot factors and steady
+//!    miss ratio the solve built are the ones each context's first
+//!    phase is charged with; only a phase change within the quantum
+//!    rebuilds them. A reused solve (rule 3) has the same plan with
+//!    nothing invalidated, so its stored factors still hold.
+//! 7. **Reachable-thread exit.** Scheduling stops once the plan fills
+//!    every hardware thread on a core some active context may use
+//!    (`smt_ways` × the cores with non-zero load, recorded with the
+//!    load): every context still queued would find its cores full.
 //!
 //! [`Simulator::congestion_solves`] counts the quanta that still solved.
 //!

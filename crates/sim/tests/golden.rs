@@ -11,6 +11,12 @@
 //! `Simulator::step` to that straightforward computation, bit for bit.
 //! The seventh comes from a simulator that sorted its active contexts by
 //! run stamp every quantum, so it pins the kept run queue to that sort.
+//! The eighth was computed in a separate checkout of the simulator as it
+//! was before the per-domain solve: one joint fixed point over every
+//! domain with each slot's miss ratio re-derived every round, slot terms
+//! rebuilt in `advance`, and the whole run queue walked every quantum.
+//! It pins the per-domain solve, the terms shared with `advance` and the
+//! reachable-thread exit to that computation.
 //! Built on the public API only.
 
 use litmus_sim::{
@@ -344,6 +350,50 @@ fn saturated_pool_with_backfill_and_serving() {
         "saturated_pool_with_backfill_and_serving",
         rec.finish(),
         0xd861_2e1f_4ef0_5ed7,
+    );
+}
+
+/// One socket with two-way SMT, the shape no other scenario has. Two
+/// overlapping pools and a pinned core keep more contexts live than
+/// their six cores have hardware threads (12), so some quanta fill all
+/// 12 with contexts still queued while the other 26 cores stay free.
+/// Startup-prefixed contexts, one of them sampled, rotate through; each
+/// completion is replaced before the next quantum for 600 quanta, and a
+/// visitor pinned to core 9 widens the occupied cores for part of the
+/// run. Then everything drains.
+#[test]
+fn single_socket_smt_overlapping_pools() {
+    let mut spec = MachineSpec::cascade_lake();
+    spec.smt_ways = 2;
+    let placement = |n: usize| match n % 3 {
+        0 => Placement::pool_range(0, 4),
+        1 => Placement::pool_range(2, 6),
+        _ => Placement::pinned(5),
+    };
+    let worker = |n: usize| with_startup(&format!("w{n}"), n % 3, n);
+    let mut rec = Recorder::new(Simulator::new(spec));
+    let mut launched = 0;
+    for _ in 0..18 {
+        if launched == 4 {
+            rec.launch_sampled(worker(launched), placement(launched));
+        } else {
+            rec.launch(worker(launched), placement(launched));
+        }
+        launched += 1;
+    }
+    for quantum in 0..600usize {
+        for _ in rec.step() {
+            rec.launch(worker(launched), placement(launched));
+            launched += 1;
+        }
+        if quantum == 200 {
+            rec.launch(body("visitor", &[1, 2, 0], 4.0e6), Placement::pinned(9));
+        }
+    }
+    assert_digest(
+        "single_socket_smt_overlapping_pools",
+        rec.finish(),
+        0xb219_1198_fde6_657f,
     );
 }
 
