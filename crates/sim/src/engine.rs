@@ -18,8 +18,15 @@ use crate::Result;
 /// same bits. Around the solve, [`Simulator::step`] rebuilds the
 /// occupancy it reads and re-runs it at all only when its one
 /// invalidation signal fired (active set or a phase changed) or the plan
-/// or snapshots moved; see there.
+/// or snapshots moved, and a lone domain's solve is looked up before it
+/// runs; see there.
 const FIXED_POINT_ITERS: usize = 8;
+
+/// Sets in the lone-domain memo (rule 8 of [`Simulator::step`]), each
+/// of `LONE_MEMO_WAYS` entries: 256 in all. A power of two, so that the
+/// top bits of a key's hash pick its set.
+const LONE_MEMO_SETS: usize = 64;
+const LONE_MEMO_WAYS: usize = 4;
 
 /// Safety horizon for [`Simulator::run_to_completion`], in quanta (ms).
 const HORIZON_MS: u64 = 30_000_000;
@@ -254,10 +261,99 @@ fn coupling(spec: &MachineSpec, snapshot: &CongestionSnapshot) -> f64 {
     1.0 + spec.private_coupling * couple_metric
 }
 
+/// The bits of everything a lone domain's solve reads besides the
+/// machine spec: the quantum's cycles, the domain's capacity pressure,
+/// the five fields of the starting snapshot that round 0 reads, and the
+/// slot's four terms. The slot's steady `miss` is a function of its
+/// `l3_miss_ratio` and the pressure, and one context is running.
+type LoneKey = [u64; 11];
+
+fn lone_key(cycles_q: f64, pressure: f64, start: &CongestionSnapshot, term: &SlotTerms) -> LoneKey {
+    [
+        cycles_q,
+        pressure,
+        start.l3_port_utilization,
+        start.bandwidth_utilization,
+        start.capacity_pressure,
+        start.l3_latency,
+        start.mem_latency,
+        term.private_base,
+        term.mpki,
+        term.stall_base,
+        term.l3_miss_ratio,
+    ]
+    .map(f64::to_bits)
+}
+
+/// One set of the lone-domain memo: `LONE_MEMO_WAYS` entries, the
+/// oldest overwritten first.
+#[derive(Debug, Default)]
+struct LoneSet {
+    /// Each way's key hash with its low bit set, or 0 while the way is
+    /// empty: a lookup compares whole keys only where these agree.
+    tags: [u64; LONE_MEMO_WAYS],
+    ways: [Option<(LoneKey, CongestionSnapshot)>; LONE_MEMO_WAYS],
+    /// The way the next store overwrites.
+    oldest: usize,
+}
+
+/// Solved snapshots of lone domains (rule 8 of [`Simulator::step`]).
+/// Set-associative: the top bits of a key's hash pick one set, and a
+/// store overwrites that set's oldest entry.
+#[derive(Debug, Default)]
+struct LoneMemo {
+    /// `LONE_MEMO_SETS` sets; empty until the first store.
+    sets: Vec<LoneSet>,
+    /// Lookups that found their key.
+    #[cfg(test)]
+    hits: u64,
+}
+
+impl LoneMemo {
+    /// A multiply-rotate hash over the key's words.
+    fn hash(key: &LoneKey) -> u64 {
+        key.iter().fold(0, |hash: u64, &word| {
+            (hash.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95)
+        })
+    }
+
+    /// The set a key with hash `hash` maps to: the hash's top bits.
+    fn set(hash: u64) -> usize {
+        (hash >> (u64::BITS - LONE_MEMO_SETS.trailing_zeros())) as usize
+    }
+
+    /// The snapshot stored for `key`, whose hash is `hash`, if any.
+    fn get(&mut self, hash: u64, key: &LoneKey) -> Option<CongestionSnapshot> {
+        let set = self.sets.get(Self::set(hash))?;
+        let snapshot = (0..LONE_MEMO_WAYS)
+            .filter(|&way| set.tags[way] == hash | 1)
+            .find_map(|way| match &set.ways[way] {
+                Some((stored, snapshot)) if stored == key => Some(*snapshot),
+                _ => None,
+            });
+        #[cfg(test)]
+        {
+            self.hits += u64::from(snapshot.is_some());
+        }
+        snapshot
+    }
+
+    /// Stores `snapshot` for `key`, whose hash is `hash`.
+    fn put(&mut self, hash: u64, key: LoneKey, snapshot: CongestionSnapshot) {
+        if self.sets.is_empty() {
+            self.sets.resize_with(LONE_MEMO_SETS, LoneSet::default);
+        }
+        let set = &mut self.sets[Self::set(hash)];
+        set.tags[set.oldest] = hash | 1;
+        set.ways[set.oldest] = Some((key, snapshot));
+        set.oldest = (set.oldest + 1) % LONE_MEMO_WAYS;
+    }
+}
+
 /// Per-quantum working buffers and the intermediates reused across
 /// quanta, kept on the simulator so that a quantum refills them in place
 /// instead of allocating; each grows only until it has held the largest
-/// set seen.
+/// set seen, and the lone-domain memo is allocated once, at full size.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Free hardware threads per core.
@@ -293,6 +389,9 @@ struct Scratch {
     /// Whether the last solve returned its starting snapshots bit for
     /// bit, so that the same inputs would return them again.
     settled: bool,
+    /// The snapshots lone domains solved to, keyed by everything their
+    /// solve read (rule 8).
+    lone: LoneMemo,
 }
 
 /// The quantum-stepped machine simulator.
@@ -308,8 +407,14 @@ pub struct Simulator {
     governor: FrequencyGovernor,
     now_ms: u64,
     /// Every context ever launched; completed ones stay for
-    /// [`Simulator::report`] but are never visited by a step.
-    contexts: Vec<Context>,
+    /// [`Simulator::report`] but are never visited by a step. Boxed, so
+    /// that the list itself grows by pointers: a serving machine
+    /// launches thousands of contexts, and a `Vec<Context>` would double
+    /// into one block of a megabyte, whose place in the heap, and so the
+    /// process's peak memory, depends on what the worker threads
+    /// allocated around it.
+    #[allow(clippy::vec_box)]
+    contexts: Vec<Box<Context>>,
     /// Indices of the active contexts, ascending.
     active: Vec<usize>,
     /// The active contexts in scheduling order: ascending by
@@ -418,10 +523,12 @@ impl Simulator {
         self.active.len()
     }
 
-    /// Quanta that ran the congestion fixed point. The rest reused the
-    /// previous quantum's snapshots (see [`Simulator::step`]), so this
-    /// counts the work the reuse could not avoid. Deterministic: the
-    /// same launches and steps give the same count on every host.
+    /// Quanta in which some domain ran the congestion fixed point. The
+    /// rest reused the previous quantum's snapshots or found every
+    /// domain's solve in the lone-domain memo (rules 3 and 8 of
+    /// [`Simulator::step`]; a memo hit is not a solve), so this counts the
+    /// work neither could avoid. Deterministic: the same launches and
+    /// steps give the same count on every host.
     pub fn congestion_solves(&self) -> u64 {
         self.solves
     }
@@ -463,7 +570,7 @@ impl Simulator {
         placement.validate(&self.spec)?;
         let id = InstanceId(self.contexts.len());
         let startup_pending = profile.has_startup();
-        self.contexts.push(Context {
+        self.contexts.push(Box::new(Context {
             profile,
             allowed: placement.allowed,
             phase_idx: 0,
@@ -479,7 +586,7 @@ impl Simulator {
             startup_report: None,
             sampling,
             samples: Vec::new(),
-        });
+        }));
         self.active.push(id.0);
         self.runqueue.push(id.0);
         self.changed = Change::ActiveSet;
@@ -535,7 +642,8 @@ impl Simulator {
     /// visits them, so a long-lived simulator steps as fast as a fresh
     /// one with the same active set. A step makes no heap allocation
     /// once its reusable buffers have grown to the largest active set
-    /// seen; only a non-empty returned event list and the samples of
+    /// seen and its first lone-domain solve has allocated the memo of
+    /// rule 8; only a non-empty returned event list and the samples of
     /// [`Simulator::launch_sampled`] contexts allocate.
     ///
     /// Within that, a step recomputes each intermediate only when one of
@@ -580,6 +688,20 @@ impl Simulator {
     /// 7. Scheduling stops once the plan fills every reachable hardware
     ///    thread (`smt_ways` × the cores some active context may use):
     ///    every context still queued would find its cores full.
+    /// 8. A lone domain, one whose part of the plan is a single context,
+    ///    looks its solve up in a memo keyed by the bits of everything
+    ///    that solve reads: the quantum's cycles, the domain's capacity
+    ///    pressure, the starting snapshot's two utilisations, capacity
+    ///    pressure and two latencies, and the slot's private base, MPKI,
+    ///    stall factor and solo L3 miss ratio (its steady miss ratio is a
+    ///    function of that ratio and the pressure, and one context runs).
+    ///    The solve is a function of those bits and the simulator's
+    ///    fixed spec, so a hit returns the snapshot the fixed point would;
+    ///    a miss solves and stores. The memo is the simulator's own, holds
+    ///    256 entries in sets of four, overwrites a set's oldest entry,
+    ///    and allocates at its first store. Domains running two or more
+    ///    contexts are not looked up: time-shared plans rotate, and their
+    ///    solves rarely repeat.
     ///
     /// [`Simulator::congestion_solves`] counts the quanta that solved.
     pub fn step(&mut self) -> Vec<Event> {
@@ -596,7 +718,7 @@ impl Simulator {
             && scratch.settled
             && same_plan(&scratch.slots, &scratch.prev_slots);
         if !reuse {
-            self.solve_congestion(cycles_q);
+            let solved = self.solve_congestion(cycles_q);
             let scratch = &mut self.scratch;
             scratch.settled = scratch
                 .snapshots
@@ -604,7 +726,7 @@ impl Simulator {
                 .zip(&self.last_snapshots)
                 .all(|(solved, start)| same_snapshot(solved, start));
             std::mem::swap(&mut self.last_snapshots, &mut scratch.snapshots);
-            self.solves += 1;
+            self.solves += u64::from(solved);
         }
 
         let mut events = Vec::new();
@@ -660,7 +782,8 @@ impl Simulator {
     }
 
     /// Drops every reused intermediate, so that the next step rebuilds
-    /// and solves everything from scratch.
+    /// everything. Under `reference`, which bypasses the lone-domain
+    /// memo, it then solves every domain afresh.
     #[cfg(test)]
     fn invalidate_reuse(&mut self) {
         self.changed = Change::ActiveSet;
@@ -898,9 +1021,10 @@ impl Simulator {
     /// what makes heavily time-shared machines (§7.2) more congested
     /// than one-function-per-core setups with the same running count.
     ///
-    /// Solves from `last_snapshots` into `scratch.snapshots`, and leaves
-    /// the per-slot factors in `scratch.terms` for `advance`. Four rules
-    /// of [`Simulator::step`] meet here:
+    /// Solves from `last_snapshots` into `scratch.snapshots`, leaves the
+    /// per-slot factors in `scratch.terms` for `advance`, and returns
+    /// whether some domain ran the fixed point. Five rules of
+    /// [`Simulator::step`] meet here:
     ///
     /// * (rule 1) the capacity pressure of the live footprint is read
     ///   from `scratch.pressure` as the occupancy cache left it, rebuilt
@@ -920,12 +1044,17 @@ impl Simulator {
     ///   not per round: from the starting snapshot's capacity pressure
     ///   for round 0, and as the terms' steady `miss` from the domain's
     ///   pressure for every later round, whose snapshot `evaluate_at`
-    ///   built at that pressure.
+    ///   built at that pressure;
+    /// * (rule 8) a domain with exactly one slot is first looked up in
+    ///   `scratch.lone` by `lone_key`; a hit pushes the stored snapshot
+    ///   without running the fixed point, and a miss stores what the
+    ///   fixed point returns. The terms are built either way, for
+    ///   `advance`.
     ///
     /// The other per-slot factors are computed once per solve and the
     /// coupling factor once per domain per round, each as `advance`
     /// computes the CPI it charges.
-    fn solve_congestion(&mut self, cycles_q: f64) {
+    fn solve_congestion(&mut self, cycles_q: f64) -> bool {
         let Simulator {
             spec,
             model,
@@ -939,6 +1068,7 @@ impl Simulator {
             pressure,
             terms,
             snapshots,
+            lone: memo,
             ..
         } = scratch;
         terms.clear();
@@ -950,12 +1080,26 @@ impl Simulator {
         #[cfg(test)]
         if self.reference {
             self.solve_jointly(cycles_q);
-            return;
+            return true;
         }
 
         snapshots.clear();
+        let mut solved = false;
         for (domain, (start, &pressure)) in last_snapshots.iter().zip(pressure.iter()).enumerate() {
             let in_domain = || terms.iter().filter(move |term| term.domain == domain);
+            let mut running_terms = in_domain();
+            let lone = match (running_terms.next(), running_terms.next()) {
+                (Some(term), None) => {
+                    let key = lone_key(cycles_q, pressure, start, term);
+                    Some((LoneMemo::hash(&key), key))
+                }
+                _ => None,
+            };
+            if let Some(snapshot) = lone.and_then(|(hash, key)| memo.get(hash, &key)) {
+                snapshots.push(snapshot);
+                continue;
+            }
+            solved = true;
             let demand = |l2_miss_rate, l3_miss_rate| ContentionInputs {
                 l2_miss_rate,
                 l3_miss_rate,
@@ -991,8 +1135,12 @@ impl Simulator {
                 (l2, l3) = (next_l2, next_l3);
                 snapshot = model.evaluate_at(demand(l2, l3), pressure, running);
             }
+            if let Some((hash, key)) = lone {
+                memo.put(hash, key, snapshot);
+            }
             snapshots.push(snapshot);
         }
+        solved
     }
 
     /// The joint fixed point over every domain, each slot's miss ratio
@@ -1491,6 +1639,92 @@ mod tests {
         assert!(fast.wall_ms() < slow.wall_ms());
     }
 
+    /// One long phase, alone on a core: no switch overheads, so the slot's
+    /// `mpki` is the phase's `l2_mpki`.
+    fn lone_profile(cpi: f64, mpki: f64, ratio: f64, blocking: f64) -> ExecutionProfile {
+        ExecutionProfile::builder("lone")
+            .phase(ExecPhase::new(1e9, cpi, mpki, ratio, blocking, 24.0))
+            .build()
+            .unwrap()
+    }
+
+    /// Rule 8 keys a lone domain's solve by every input the solve reads.
+    /// From one state, each solve below changes one word of the key,
+    /// reachable or not, and must solve afresh, bit for bit as the
+    /// reference does; the unchanged state, solved again, is a hit.
+    #[test]
+    fn lone_memo_tells_apart_every_input_of_the_solve() {
+        type KeyChange = (&'static str, fn(&mut Simulator));
+        let changes: [KeyChange; 11] = [
+            ("cycles", |sim| sim.governor = FrequencyGovernor::fixed(3.1)),
+            ("pressure", |sim| sim.scratch.pressure[0] = 0.25),
+            ("port utilisation", |sim| {
+                sim.last_snapshots[0].l3_port_utilization += 0.1;
+            }),
+            ("bandwidth utilisation", |sim| {
+                sim.last_snapshots[0].bandwidth_utilization += 0.1;
+            }),
+            ("starting pressure", |sim| {
+                sim.last_snapshots[0].capacity_pressure += 0.1;
+            }),
+            ("L3 latency", |sim| sim.last_snapshots[0].l3_latency += 5.0),
+            ("memory latency", |sim| {
+                sim.last_snapshots[0].mem_latency += 20.0
+            }),
+            ("private CPI", |sim| {
+                sim.contexts[0].profile = lone_profile(0.7, 10.0, 0.5, 0.8);
+            }),
+            // (20/1000)·0.4 is (10/1000)·0.8 bit for bit: only `mpki` moves.
+            ("L2 MPKI", |sim| {
+                sim.contexts[0].profile = lone_profile(0.6, 20.0, 0.5, 0.4);
+            }),
+            ("stall factor", |sim| {
+                sim.contexts[0].profile = lone_profile(0.6, 10.0, 0.5, 0.6);
+            }),
+            ("L3 miss ratio", |sim| {
+                sim.contexts[0].profile = lone_profile(0.6, 10.0, 0.6, 0.8);
+            }),
+        ];
+        let spec = MachineSpec::cascade_lake();
+        let mut memo = Simulator::new(spec.clone());
+        let mut reference = Simulator::new(spec.clone());
+        reference.reference = true;
+        for sim in [&mut memo, &mut reference] {
+            sim.launch(lone_profile(0.6, 10.0, 0.5, 0.8), Placement::pinned(0))
+                .unwrap();
+            sim.step();
+        }
+        let (start, pressure) = (memo.last_snapshots[0], memo.scratch.pressure[0]);
+        // Resets the inputs to that state, applies `change`, and steps
+        // once with the solve forced.
+        let solve = |sim: &mut Simulator, change: fn(&mut Simulator)| {
+            sim.governor = FrequencyGovernor::fixed(spec.frequency_ghz);
+            sim.scratch.pressure[0] = pressure;
+            sim.last_snapshots[0] = start;
+            sim.contexts[0].profile = lone_profile(0.6, 10.0, 0.5, 0.8);
+            change(sim);
+            sim.scratch.settled = false;
+            sim.step();
+            sim.last_snapshots[0]
+        };
+        let unchanged = solve(&mut memo, |_| {});
+        assert!(same_snapshot(&unchanged, &solve(&mut reference, |_| {})));
+        for (input, change) in changes {
+            let solved = solve(&mut memo, change);
+            assert!(
+                !same_snapshot(&solved, &unchanged),
+                "changing the {input} must move the solve"
+            );
+            assert!(
+                same_snapshot(&solved, &solve(&mut reference, change)),
+                "changing the {input}: the memo served another state's solve"
+            );
+        }
+        assert_eq!(memo.scratch.lone.hits, 0);
+        assert!(same_snapshot(&solve(&mut memo, |_| {}), &unchanged));
+        assert_eq!(memo.scratch.lone.hits, 1);
+    }
+
     /// `spec` with two-way SMT, so that stepping pairs SMT siblings.
     fn with_smt(mut spec: MachineSpec) -> MachineSpec {
         spec.smt_ways = 2;
@@ -1610,6 +1844,20 @@ mod tests {
         })
     }
 
+    /// One launch replayed alone: launched, drained, and launched again
+    /// after each gap of idle quanta.
+    fn arb_lone_replays() -> impl Strategy<Value = (Launch, Vec<u64>)> {
+        (
+            arb_profile(),
+            arb_placement(),
+            0usize..2,
+            prop::collection::vec(1u64..4, 2..5),
+        )
+            .prop_map(|(profile, placement, sampled, gaps)| {
+                ((profile, placement, sampled == 1), gaps)
+            })
+    }
+
     /// Rounds of launches, each followed by a number of quanta. Up to
     /// 110 contexts land on the few cores around the boundary, so later
     /// rounds launch into pools that are already time-sharing.
@@ -1719,6 +1967,45 @@ mod tests {
             }
             prop_assert_eq!(fresh.congestion_solves(), quanta);
             prop_assert!(reusing.congestion_solves() <= quanta);
+        }
+
+        /// A lone schedule replayed after idle quanta walks the solves it
+        /// walked before, so `reusing` is served from the lone-domain
+        /// memo (rule 8) while `fresh` solves, and both still step bit
+        /// for bit alike through to the final reports.
+        #[test]
+        fn replayed_lone_schedules_hit_the_memo(replays in arb_lone_replays(), spec in arb_spec()) {
+            let ((profile, placement, sampled), gaps) = replays;
+            let mut reusing = Simulator::new(spec.clone());
+            let mut fresh = Simulator::new(spec);
+            fresh.reference = true;
+            let mut ids = Vec::new();
+            let mut quanta = 0u64;
+            for gap in gaps {
+                for sim in [&mut reusing, &mut fresh] {
+                    let id = if sampled {
+                        sim.launch_sampled(profile.clone(), placement.clone())
+                    } else {
+                        sim.launch(profile.clone(), placement.clone())
+                    };
+                    ids.push(id.unwrap());
+                }
+                while reusing.active_instances() > 0 || fresh.active_instances() > 0 {
+                    prop_assert!(quanta < 100_000, "short profiles must drain");
+                    lockstep(&mut reusing, &mut fresh)?;
+                    quanta += 1;
+                }
+                for _ in 0..gap {
+                    lockstep(&mut reusing, &mut fresh)?;
+                }
+            }
+            for pair in ids.chunks(2) {
+                prop_assert_eq!(
+                    format!("{:?}", reusing.report(pair[0])),
+                    format!("{:?}", fresh.report(pair[1]))
+                );
+            }
+            prop_assert!(reusing.scratch.lone.hits > 0, "the replays must hit the memo");
         }
     }
 }

@@ -38,11 +38,13 @@
 //!
 //! A quantum ([`Simulator::step`]) costs O(active contexts) and makes no
 //! heap allocation once the simulator's reusable buffers have grown to
-//! its largest active set. Completed contexts stay addressable through
+//! its largest active set and its first lone-domain solve has allocated
+//! the memo of rule 8 below. Completed contexts stay addressable through
 //! [`Simulator::report`] and [`Simulator::state`] for the simulator's
 //! lifetime, but `step` never visits them, so a machine that has served
 //! thousands of invocations steps as fast as a fresh one with the same
-//! active set.
+//! active set. Each launch boxes its context, so that thousands of them
+//! never need one contiguous block: the list grows by a pointer each.
 //!
 //! Within a quantum, each intermediate is recomputed only when one of
 //! its inputs changed and is otherwise reused bit for bit, so the output
@@ -91,8 +93,25 @@
 //!    every hardware thread on a core some active context may use
 //!    (`smt_ways` × the cores with non-zero load, recorded with the
 //!    load): every context still queued would find its cores full.
+//! 8. **Lone-domain memo.** A domain whose part of the plan is a single
+//!    context looks its solve up before running it. The key is the bits
+//!    of everything that solve reads besides the machine spec: the
+//!    quantum's cycles, the domain's capacity pressure, the five fields
+//!    of the starting snapshot that round 0 reads (both utilisations,
+//!    the capacity pressure and both latencies), and the slot's private
+//!    base, MPKI, stall factor and solo L3 miss ratio. The slot's steady
+//!    miss ratio is a function of that ratio and the pressure, and one
+//!    context runs. So a hit is exact: it returns the snapshot the fixed
+//!    point would return from the same bits. Each simulator keeps its
+//!    own memo of 256 entries, in 64 sets of four that overwrite their
+//!    oldest entry, allocated at the first store. A function invoked
+//!    alone walks the same solves from the same idle snapshot every
+//!    time, which is what hits. Domains running two or more contexts
+//!    are not looked up: time-shared plans rotate, and their solves
+//!    rarely repeat.
 //!
-//! [`Simulator::congestion_solves`] counts the quanta that still solved.
+//! [`Simulator::congestion_solves`] counts the quanta that still ran
+//! the fixed point in some domain; a memo hit is not a solve.
 //!
 //! # Examples
 //!

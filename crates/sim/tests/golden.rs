@@ -17,6 +17,12 @@
 //! rebuilt in `advance`, and the whole run queue walked every quantum.
 //! It pins the per-domain solve, the terms shared with `advance` and the
 //! reachable-thread exit to that computation.
+//! The ninth was computed in a separate checkout of the simulator as it
+//! was before the lone-domain memo, when every lone domain ran its fixed
+//! point. Its lone contexts replay the same solves and also meet solves
+//! that differ from them only in the quantum's cycles, the domain's
+//! capacity pressure or the L3 miss ratio, so it pins the memo's hits to
+//! the solves they replace.
 //! Built on the public API only.
 
 use litmus_sim::{
@@ -445,4 +451,73 @@ fn skip_idle_gaps() {
         }
     }
     assert_digest("skip_idle_gaps", rec.finish(), 0xfdd6_5d22_773f_40ca);
+}
+
+/// Lone contexts, each the only one running in its domain, on two
+/// sockets under a turbo governor. One startup-prefixed profile is
+/// launched alone again and again with idle gaps skipped between, as is
+/// a twin that differs from it only in every phase's L3 miss ratio, and
+/// once sampled. Then it shares a core with a second context, so its
+/// domain runs one context while another is live but descheduled, and
+/// runs alone on that core again. Last, it runs on socket 0 while
+/// contexts come and go on socket 1 and move the turbo frequency, and
+/// once more with socket 1 idle. Then everything drains.
+#[test]
+fn lone_replays_on_turbo_sockets() {
+    let governor = FrequencyGovernor::turbo(2.8, 3.9, 4);
+    let mut rec = Recorder::new(Simulator::with_governor(
+        MachineSpec::cascade_lake_dual(),
+        governor,
+    ));
+    let solo = with_startup("solo", 1, 1);
+    let mut twin = ExecutionProfile::builder("twin");
+    for (i, &phase) in solo.phases().iter().enumerate() {
+        let phase = ExecPhase {
+            l3_miss_ratio: phase.l3_miss_ratio + 0.15,
+            ..phase
+        };
+        twin = if i < solo.startup_len() {
+            twin.startup_phase(phase)
+        } else {
+            twin.phase(phase)
+        };
+    }
+    let twin = twin.build().unwrap();
+    let gap = |rec: &mut Recorder, ms: u64| {
+        rec.drain();
+        let at = rec.sim.now_ms() + ms;
+        rec.sim.skip_idle_to(at).unwrap();
+        rec.digest.u64(rec.sim.now_ms());
+    };
+    for round in 0..3 {
+        rec.launch(solo.clone(), Placement::pinned(0));
+        gap(&mut rec, 9 + round);
+        rec.launch(twin.clone(), Placement::pinned(0));
+        gap(&mut rec, 4);
+    }
+    rec.launch_sampled(solo.clone(), Placement::pinned(3));
+    gap(&mut rec, 6);
+    rec.launch(solo.clone(), Placement::pinned(1));
+    rec.launch(body("pair", &[1, 2], 4.0e6), Placement::pinned(1));
+    gap(&mut rec, 5);
+    rec.launch(solo.clone(), Placement::pinned(1));
+    gap(&mut rec, 5);
+    rec.launch(solo.clone(), Placement::pinned(2));
+    for i in 0..8 {
+        rec.launch(
+            body(
+                &format!("load{i}"),
+                &[i % 4, (i + 1) % 4],
+                1.5e6 * (i + 1) as f64,
+            ),
+            Placement::pinned(16 + i),
+        );
+    }
+    gap(&mut rec, 7);
+    rec.launch(solo, Placement::pinned(2));
+    assert_digest(
+        "lone_replays_on_turbo_sockets",
+        rec.finish(),
+        0x80f6_cb46_4177_b0e2,
+    );
 }
