@@ -3,16 +3,17 @@
 //! bench-gate checks regressions against.
 //!
 //! Two arms, each run under BOTH replay engines (slice stepping — the
-//! oracle — and the discrete-event engine), at 1 and 4 worker-pool
-//! threads:
+//! oracle — and the discrete-event engine), at 1 and 4 stepping threads
+//! (the driver and 0 or 3 pool workers):
 //!
 //! * **dense** — one fixture day with stealing + predictive
 //!   autoscaling on: every slice boundary is a decision round, so this
 //!   measures the full dispatch → simulate → probe → price → shard
 //!   path and the per-stage breakdown: dispatch / scale / steal /
 //!   step under both engines, `fan-out` around each hand-off of two
-//!   or more busy machines to the worker pool with `barrier` as its
-//!   blocked part, and the event engine's bulk-account;
+//!   or more busy machines to the worker pool, with the driver's own
+//!   shard as its self time and `barrier` as the wait for the workers
+//!   after it, and the event engine's bulk-account;
 //! * **sparse** — a two-day fixture chain stretched to real-time
 //!   minutes and thinned hard, so almost every slice is empty: the
 //!   workload the event engine collapses. The file records the
@@ -34,6 +35,17 @@
 //! reuse rule, or a memo that stopped hitting, pushes that share up
 //! without changing any output.
 //!
+//! Every run also records `shard_bound`: over all of the replay's
+//! hand-offs, the busy machines' active simulator instances summed,
+//! divided by the largest shard's summed ([`Cluster::shard_load`]) —
+//! the speedup the shard layouts allow if a machine's step cost is its
+//! active instances, 1 where nothing was handed off. It is a sim-clock
+//! ratio, so unlike the wall-clock 4-vs-1 thread ratio (printed, not
+//! gated: on a small shared host it spreads wider than any change to the
+//! hand-off) it reads the same on every host, and the binary exits
+//! non-zero if the dense arm's 4-thread runs read below
+//! `MIN_DENSE_SHARD_BOUND`.
+//!
 //! Usage: `bench-trajectory [--smoke] [--out PATH]`
 //! `--smoke` shrinks both arms for CI (and is NOT a number to commit:
 //! the checked-in baseline is a full-mode run). `--out` defaults to
@@ -46,7 +58,7 @@ use std::time::Instant;
 
 use litmus_cluster::{
     AutoscalerConfig, Cluster, ClusterConfig, ClusterDriver, ClusterReport, LitmusAware,
-    MachineConfig, PredictiveConfig, StealingConfig, SteppingMode,
+    MachineConfig, PredictiveConfig, ShardLoad, StealingConfig, SteppingMode,
 };
 use litmus_core::{DiscountModel, PricingTables, TableBuilder};
 use litmus_forecast::ForecasterSpec;
@@ -68,6 +80,12 @@ const SPARSE_REPS: usize = 3;
 /// full mode and 0.035 in smoke mode, and 0.38 in both without the
 /// lone-domain memo.
 const MAX_SPARSE_SOLVE_SHARE: f64 = 0.1;
+/// Least `shard_bound` the dense arm's 4-thread runs may read (see the
+/// module docs). When the floor was set, greedy LPT on active instances
+/// read 3.20 in full mode and 3.79 in smoke mode, and contiguous chunks
+/// of the busy list, which put two of the three filler machines in one
+/// shard, read 1.63 and 1.42.
+const MIN_DENSE_SHARD_BOUND: f64 = 2.4;
 
 const USAGE: &str = "usage: bench-trajectory [--smoke] [--out PATH]";
 
@@ -213,6 +231,8 @@ struct RunResult {
     /// fixed point; the same in every rep.
     quanta: u64,
     solves: u64,
+    /// The hand-offs' sim-clock balance; the same in every rep.
+    shard_load: ShardLoad,
 }
 
 impl RunResult {
@@ -233,6 +253,7 @@ fn run<S: TraceSource>(
     let mut wall_ms = Vec::with_capacity(reps);
     let mut best: Option<(f64, ClusterReport)> = None;
     let mut counts = (0, 0);
+    let mut shard_load = ShardLoad::default();
     for _ in 0..reps {
         let mut cluster =
             Cluster::build(config.clone(), tables.clone(), model.clone()).expect("cluster boots");
@@ -245,6 +266,7 @@ fn run<S: TraceSource>(
         let elapsed = started.elapsed().as_secs_f64() * 1e3;
         wall_ms.push(elapsed);
         counts = (cluster.quanta_stepped(), cluster.congestion_solves());
+        shard_load = cluster.shard_load();
         if best.as_ref().is_none_or(|(t, _)| elapsed < *t) {
             best = Some((elapsed, report));
         }
@@ -258,6 +280,7 @@ fn run<S: TraceSource>(
         best,
         quanta: counts.0,
         solves: counts.1,
+        shard_load,
     }
 }
 
@@ -294,6 +317,7 @@ fn run_json(result: &RunResult, invocations: usize) -> String {
     obj.u64_field("peak_machines", result.best.peak_machines as u64);
     obj.u64_field("sim_quanta", result.quanta);
     obj.u64_field("sim_solves", result.solves);
+    obj.f64_field("shard_bound", result.shard_load.bound());
     // Wall-clock stage breakdown from the fastest rep — slice-vs-event
     // lives here ("fan-out"/"barrier" and "bulk-account" especially).
     obj.raw_field("stages", &result.best.telemetry().profile().to_json());
@@ -309,8 +333,10 @@ fn print_run(result: &RunResult, invocations: usize) {
         invocations as f64 / (best_ms / 1e3),
     );
     println!(
-        "    sim quanta {}, congestion solves {}",
-        result.quanta, result.solves
+        "    sim quanta {}, congestion solves {}, shard bound {:.2}",
+        result.quanta,
+        result.solves,
+        result.shard_load.bound()
     );
     print!("{}", result.best.telemetry().profile().summary());
 }
@@ -347,6 +373,7 @@ fn main() {
     );
 
     let mut runs = Vec::new();
+    let mut dense_best_ms = Vec::new();
     for threads in [1usize, 4] {
         let config = cluster_config(threads);
         let bench_driver = driver();
@@ -367,8 +394,29 @@ fn main() {
         assert_oracle_equal(&slice, &event, "dense");
         print_run(&slice, trace.len());
         print_run(&event, trace.len());
+        // The balance gate: a host-independent ratio, so no reps needed.
+        for result in [&slice, &event] {
+            let bound = result.shard_load.bound();
+            if threads == 4 && bound < MIN_DENSE_SHARD_BOUND {
+                eprintln!(
+                    "BENCH GATE FAIL (dense, threads={threads}, {}): the hand-offs' shards \
+                     bound the parallel speedup at {bound:.2} (floor \
+                     {MIN_DENSE_SHARD_BOUND}) — shard balance regressed",
+                    result.engine.name()
+                );
+                std::process::exit(1);
+            }
+        }
         runs.push(run_json(&slice, trace.len()));
         runs.push(run_json(&event, trace.len()));
+        dense_best_ms.push((slice.best_ms(), event.best_ms()));
+    }
+    if let [(slice_1, event_1), (slice_4, event_4)] = dense_best_ms[..] {
+        println!(
+            "  4 vs 1 threads, wall clock (not gated): slice x{:.2}, event-driven x{:.2}",
+            slice_1 / slice_4,
+            event_1 / event_4
+        );
     }
 
     // Sparse arm: two fixture days chained on a shared tenant map,

@@ -15,7 +15,7 @@ use crate::context::ServingContext;
 use crate::error::ClusterError;
 use crate::machine::{CompletionRecord, Machine, MachineConfig, MachineId};
 use crate::policy::{MachineSnapshot, PlacementPolicy};
-use crate::pool::{SteppingMode, WorkerPool};
+use crate::pool::{Fleet, ShardLoad, SteppingMode, WorkerPool};
 use crate::scale::{
     Autoscaler, AutoscalerConfig, ForecastSample, MachineLifetime, ScaleEvent, ScaleKind,
     ScalingPolicy,
@@ -33,7 +33,9 @@ pub struct ClusterConfig {
     /// Scheduling time-slice: arrivals are dispatched and machines
     /// stepped in windows of this many ms.
     pub slice_ms: u64,
-    /// Worker threads stepping machines in parallel (1 = sequential).
+    /// Threads stepping machines in parallel, the driver included: a
+    /// hand-off steps one shard on the driver and the others on
+    /// `threads − 1` pool workers (1 = sequential, no workers).
     pub threads: usize,
     /// The replay loop: slice stepping or discrete-event.
     pub stepping: SteppingMode,
@@ -45,16 +47,17 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A homogeneous cluster: `count` machines, each serving on
-    /// `cores` cores of `spec`, no background load, threads matching
-    /// the host's parallelism.
+    /// `cores` cores of `spec`, no background load, stepping threads
+    /// (the driver included) matching the host's parallelism.
     ///
     /// Two environment variables override the defaults so CI can run
     /// the same suite under different execution shapes without code
     /// changes (replays are bit-identical across both, so this is a
     /// determinism check, not a behaviour switch):
     ///
-    /// * `LITMUS_POOL_THREADS` — stepping thread count (a positive
-    ///   integer; anything else falls back to host parallelism);
+    /// * `LITMUS_POOL_THREADS` — stepping thread count, the driver
+    ///   included (a positive integer; anything else falls back to
+    ///   host parallelism);
     /// * `LITMUS_STEPPING` — `pooled` or `event`/`event-driven`
     ///   (anything else falls back to the default mode).
     ///
@@ -103,7 +106,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the stepping thread count (minimum 1).
+    /// Sets the stepping thread count, the driver included (minimum 1):
+    /// `threads(2)` steps on the driver and one pool worker.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -183,7 +187,7 @@ impl Retired {
 /// billing retained so the accounting period stays conserved.
 #[derive(Debug)]
 pub struct Cluster {
-    machines: Vec<Machine>,
+    machines: Fleet,
     ctx: Arc<ServingContext>,
     spec: MachineSpec,
     slice_ms: u64,
@@ -237,6 +241,7 @@ impl Cluster {
                     probe_language,
                     &ctx,
                 )
+                .map(Box::new)
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(Cluster {
@@ -279,17 +284,23 @@ impl Cluster {
 
     /// Scheduler-visible state of every live machine.
     pub fn snapshots(&self) -> Vec<MachineSnapshot> {
-        self.machines.iter().map(Machine::snapshot).collect()
+        self.machines
+            .iter()
+            .map(|machine| machine.snapshot())
+            .collect()
     }
 
     /// One live machine by position, for inspection.
     pub fn machine(&self, idx: usize) -> Option<&Machine> {
-        self.machines.get(idx)
+        self.machines.get(idx).map(|machine| &**machine)
     }
 
     /// Invocations executing or queued across the cluster.
     pub fn outstanding(&self) -> usize {
-        self.machines.iter().map(Machine::outstanding).sum()
+        self.machines
+            .iter()
+            .map(|machine| machine.outstanding())
+            .sum()
     }
 
     /// Cluster-lifetime billing: every live machine's shard folded on
@@ -318,7 +329,7 @@ impl Cluster {
             &self.ctx,
         )?;
         self.next_id += 1;
-        self.machines.push(machine);
+        self.machines.push(Box::new(machine));
         Ok(id)
     }
 
@@ -372,8 +383,11 @@ impl Cluster {
     /// there never strands a shard at a worker. A lone busy machine,
     /// or every busy machine of a one-thread cluster, is stepped on the
     /// driver too: no channel send, no wake-up, no barrier. Two or more
-    /// busy machines are handed off (the `"fan-out"` stage), sharded
-    /// across `min(threads, busy)` workers. Machines are fully
+    /// busy machines are handed off (the `"fan-out"` stage): they are
+    /// cut into `min(threads, busy)` shards by greedy LPT on their
+    /// active instances, shard 0 is stepped on the driver and the rest
+    /// on the pool's `threads − 1` workers, and `"barrier"` is the wait
+    /// for the workers after the driver's own shard. Machines are fully
     /// independent state machines, so every path produces
     /// bit-identical results.
     fn step_all(&mut self, target_ms: u64, profile: &mut StageProfile) -> Result<()> {
@@ -394,9 +408,9 @@ impl Cluster {
         let started = profile.start();
         // Size the pool by the configured thread count, not the current
         // busy count: the pool lives as long as the cluster, and its
-        // step_all caps the shards it hands out by the busy count.
-        let workers = self.threads;
-        let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(workers));
+        // step_all caps the shards it cuts by the busy count.
+        let threads = self.threads;
+        let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(threads));
         let result = pool.step_all(
             &mut self.machines,
             &self.busy,
@@ -414,7 +428,10 @@ impl Cluster {
     /// replay engines that agree here did the same co-run evaluations
     /// no matter how they sliced time.
     pub fn quanta_stepped(&self) -> u64 {
-        self.machines.iter().map(Machine::quanta_stepped).sum()
+        self.machines
+            .iter()
+            .map(|machine| machine.quanta_stepped())
+            .sum()
     }
 
     /// How many of [`Cluster::quanta_stepped`] ran the simulator's
@@ -422,7 +439,21 @@ impl Cluster {
     /// solve, across the live fleet. A sim-clock count, identical on
     /// every host.
     pub fn congestion_solves(&self) -> u64 {
-        self.machines.iter().map(Machine::congestion_solves).sum()
+        self.machines
+            .iter()
+            .map(|machine| machine.congestion_solves())
+            .sum()
+    }
+
+    /// How evenly the hand-offs so far split their work: the busy
+    /// machines' active simulator instances and the largest shard's,
+    /// each summed over every hand-off of the cluster's lifetime.
+    /// [`ShardLoad::bound`] is their ratio. A sim-clock count, identical
+    /// on every host; all zero while nothing has been handed off.
+    pub fn shard_load(&self) -> ShardLoad {
+        self.pool
+            .as_ref()
+            .map_or_else(ShardLoad::default, WorkerPool::load)
     }
 }
 
@@ -632,8 +663,8 @@ impl ClusterReport {
 /// slice (policy sees live snapshots, including the Litmus congestion
 /// estimates), then let the optional autoscaler and stealing pass
 /// rebalance capacity at the slice boundary, then step all machines
-/// through the slice on the persistent worker pool while their shards
-/// absorb the resulting invoices.
+/// through the slice, on the driver and the persistent worker pool,
+/// while their shards absorb the resulting invoices.
 ///
 /// # Examples
 ///
@@ -739,8 +770,9 @@ impl<P: PlacementPolicy> ClusterDriver<P> {
 
     /// Enables wall-clock profiling of the replay-loop stages: dispatch,
     /// scale, steal and step under both engines, `fan-out` around each
-    /// hand-off of busy machines to worker threads with `barrier` as
-    /// its blocked part, plus the event engine's bulk-account.
+    /// hand-off of busy machines to the worker pool (its self time is
+    /// the driver stepping its own shard, and `barrier` the wait for
+    /// the workers after that), plus the event engine's bulk-account.
     /// Profiling is excluded from the deterministic telemetry export
     /// and from report equality, so it can stay on during determinism
     /// checks.
@@ -1590,4 +1622,45 @@ fn mirror_into_timeline(
         );
     }
     mirrored.2 = steal_events.len();
+}
+
+#[cfg(test)]
+mod tests {
+    use litmus_core::TableBuilder;
+
+    use super::*;
+
+    #[test]
+    fn the_driver_is_one_of_the_stepping_threads() {
+        let spec = MachineSpec::cascade_lake();
+        let tables = TableBuilder::new(spec.clone())
+            .levels([6, 14, 24])
+            .reference_scale(0.03)
+            .build()
+            .unwrap();
+        let model = DiscountModel::fit(&tables).unwrap();
+        // Two filler machines: both busy at every step, so each step
+        // with two or more threads hands off.
+        let fillers = MachineConfig::new(2).background(1).warmup_ms(0);
+        for (threads, workers) in [(1, None), (2, Some(1)), (3, Some(2))] {
+            let config = ClusterConfig::homogeneous(spec.clone(), 2, 2)
+                .machines(vec![fillers.clone().seed(1), fillers.clone().seed(2)])
+                .threads(threads);
+            let mut cluster = Cluster::build(config, tables.clone(), model.clone()).unwrap();
+            let mut profile = StageProfile::default();
+            cluster.step_all(20, &mut profile).unwrap();
+            cluster.step_all(40, &mut profile).unwrap();
+            assert_eq!(
+                cluster.pool.as_ref().map(WorkerPool::workers),
+                workers,
+                "threads({threads})"
+            );
+            // Two hand-offs, each of two one-filler machines in two
+            // shards.
+            let handed_off = workers.map_or(0, |_| 2);
+            let load = cluster.shard_load();
+            assert_eq!(load.busy, 2 * handed_off, "threads({threads})");
+            assert_eq!(load.largest_shard, handed_off, "threads({threads})");
+        }
+    }
 }

@@ -16,8 +16,9 @@ pub enum ClusterError {
     Sim(SimError),
     /// The cluster was configured with zero machines.
     NoMachines,
-    /// A worker thread panicked while stepping its machines (the panic
-    /// message is preserved when it was a string).
+    /// Stepping a hand-off's shard panicked, on a pool worker or on the
+    /// driver stepping its own shard (the panic message is preserved
+    /// when it was a string).
     WorkerPanic(String),
     /// A function the serving context was never warmed with (it holds
     /// no scaled profile and no solo oracle for it). Launching it fails,
@@ -38,7 +39,7 @@ impl fmt::Display for ClusterError {
                 write!(f, "cluster configured with zero machines")
             }
             ClusterError::WorkerPanic(msg) => {
-                write!(f, "cluster worker thread panicked: {msg}")
+                write!(f, "cluster stepping thread panicked: {msg}")
             }
             ClusterError::UnknownFunction(name) => {
                 write!(f, "function {name} was never warmed in the serving context")

@@ -19,9 +19,10 @@
 //!   boundary (the event engine jumps over quiet slices when elastic
 //!   control is off), through one stepping funnel: idle machines
 //!   fast-forward and a lone busy machine steps on the driver thread,
-//!   and only two or more busy machines are handed to a persistent
-//!   worker pool (threads spawned once per cluster, waited for at a
-//!   barrier);
+//!   and only two or more busy machines are handed off: cut into
+//!   shards by their active instances, one stepped on the driver and
+//!   the rest on a persistent worker pool (threads spawned once per
+//!   cluster, waited for at a barrier);
 //! * [`StealingConfig`] — slice-boundary work stealing: machines whose
 //!   queued-but-not-launched backlog exceeds a threshold re-dispatch
 //!   the excess to the machine with the best forward-adjusted probe
@@ -117,7 +118,7 @@ pub use machine::{Machine, MachineConfig, MachineId};
 pub use policy::{
     LeastLoaded, LitmusAware, MachineSnapshot, PlacementPolicy, ProbeFreshness, RoundRobin,
 };
-pub use pool::SteppingMode;
+pub use pool::{ShardLoad, SteppingMode};
 pub use scale::{
     AutoscalerConfig, ForecastSample, MachineLifetime, PredictiveConfig, ScaleEvent, ScaleKind,
     ScaleReason, ScalingPolicy,

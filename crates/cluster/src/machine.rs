@@ -195,6 +195,10 @@ pub struct Machine {
     /// Per-invocation completion records of sampled traces, drained by
     /// the driver after every step (empty whenever tracing is off).
     trace_records: Vec<CompletionRecord>,
+    /// Makes [`Machine::step_to`] panic, so that tests can drive the
+    /// worker pool's panic paths.
+    #[cfg(test)]
+    pub(crate) panic_on_step: bool,
 }
 
 impl Machine {
@@ -245,6 +249,8 @@ impl Machine {
             queue_wait_sum_ms: 0.0,
             draining: false,
             trace_records: Vec::new(),
+            #[cfg(test)]
+            panic_on_step: false,
         };
         machine.probe(probe_language, ctx)?;
         machine.epoch_ms = machine.harness.sim().now_ms();
@@ -376,6 +382,8 @@ impl Machine {
     ///   function was never warmed in `ctx`; the arrival stays queued.
     /// * Propagated launch, backfill and pricing failures.
     pub fn step_to(&mut self, cluster_ms: u64, ctx: &ServingContext) -> Result<()> {
+        #[cfg(test)]
+        assert!(!self.panic_on_step, "injected stepping panic");
         let target = self.local_ms(cluster_ms);
         while self.harness.sim().now_ms() < target {
             self.launch_due(ctx)?;

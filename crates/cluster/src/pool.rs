@@ -1,19 +1,26 @@
 //! Persistent stepping workers for a [`crate::Cluster`].
 //!
-//! The [`WorkerPool`] keeps its threads alive for the lifetime of the
-//! cluster. The cluster's one stepping funnel (`Cluster::step_all`)
-//! fast-forwards idle machines on the driver thread and steps a lone
-//! busy machine there too; only when two or more machines have quantum
-//! work does it hand those machines — and only those — to the pool.
-//! Each hand-off shards the busy machines across the workers over
-//! channels, steps the shards in parallel, and waits for them at a
-//! barrier (the driver blocks until every shard returns, so a boundary
-//! never overlaps the next dispatch round). Machines are fully
-//! independent state machines, so the sharding — and therefore the
-//! thread count — cannot change results: replays stay bit-identical
-//! from 1 thread to N.
+//! A cluster of `threads` stepping threads counts the driver among
+//! them: its [`WorkerPool`] spawns `threads − 1` workers at the first
+//! hand-off and keeps them for the cluster's lifetime. The cluster's one
+//! stepping funnel (`Cluster::step_all`) fast-forwards idle machines on
+//! the driver thread and steps a lone busy machine there too; only when
+//! two or more machines have quantum work does it hand those machines —
+//! and only those — to the pool.
+//!
+//! Each hand-off cuts the busy machines into `min(threads, busy)` shards
+//! by greedy LPT on their active simulator instances (see
+//! [`ShardPlan::cut`]). Shards 1 and up go to the workers over channels;
+//! shard 0 is stepped by the driver itself, which then waits at the
+//! barrier for every worker's shard to come back, so a boundary never
+//! overlaps the next dispatch round. Machines travel boxed, through
+//! slot and shard buffers the pool keeps, so a hand-off moves pointers
+//! and allocates nothing once warm. Machines are fully independent
+//! state machines, so the sharding — and therefore the thread count —
+//! cannot change results: replays stay bit-identical from 1 thread to N.
 
-use std::sync::mpsc::{channel, Receiver, SendError, Sender};
+use std::cmp::Reverse;
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -48,38 +55,141 @@ pub enum SteppingMode {
     EventDriven,
 }
 
-/// One shard of machines travelling to a worker and back. The `usize`
-/// is each machine's position in the cluster's machine vector, so the
-/// barrier can put every machine back in its slot.
+/// The sim-clock balance of a cluster's hand-offs, summed over every
+/// hand-off of its lifetime ([`crate::Cluster::shard_load`]). Both sums
+/// count active simulator instances, the cost each hand-off's shards
+/// are balanced by, so they are identical on every host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardLoad {
+    /// The busy machines' active instances.
+    pub busy: u64,
+    /// The largest shard's active instances.
+    pub largest_shard: u64,
+}
+
+impl ShardLoad {
+    /// `busy ÷ largest_shard`: the speedup the hand-offs' layouts would
+    /// allow if a machine's step cost were its active instances. 1 when
+    /// nothing was handed off.
+    pub fn bound(&self) -> f64 {
+        if self.largest_shard == 0 {
+            1.0
+        } else {
+            self.busy as f64 / self.largest_shard as f64
+        }
+    }
+}
+
+/// A cluster's live machines. Boxed, so that a hand-off moves each busy
+/// machine to its worker and back as a pointer instead of copying the
+/// whole machine four times; clippy's `vec_box` judges a box unnecessary
+/// for a `Vec` element this small.
+#[allow(clippy::vec_box)]
+pub(crate) type Fleet = Vec<Box<Machine>>;
+
+/// Machines travelling to a worker and back, each with its position in
+/// the cluster's machine vector so the barrier can put it back in its
+/// slot.
+type Shard = Vec<(usize, Box<Machine>)>;
+
 struct Job {
-    shard: Vec<(usize, Machine)>,
+    shard: Shard,
     target_ms: u64,
     ctx: Arc<ServingContext>,
 }
 
 struct Done {
-    shard: Vec<(usize, Machine)>,
+    shard: Shard,
     outcome: Result<()>,
 }
 
-/// A pool of long-lived stepping threads, created once per cluster and
-/// reused by every hand-off of every replay.
+/// A hand-off's shard layout, with its buffers kept across hand-offs.
+#[derive(Debug, Default)]
+struct ShardPlan {
+    /// Each busy machine's cost, in busy order.
+    costs: Vec<u64>,
+    /// Busy indices, largest cost first.
+    order: Vec<usize>,
+    /// Each shard's summed cost.
+    loads: Vec<u64>,
+    /// Each busy machine's shard, in busy order.
+    shard_of: Vec<usize>,
+}
+
+impl ShardPlan {
+    /// Cuts items of cost `costs` into `shards` shards (at least one) by
+    /// greedy LPT, largest processing time first: items in descending
+    /// cost, ties by index, each to the shard with the least cost so far,
+    /// ties to the lowest shard. No shard ends up with more than
+    /// `total ÷ shards` plus the largest cost.
+    fn cut(&mut self, costs: impl IntoIterator<Item = u64>, shards: usize) {
+        self.costs.clear();
+        self.costs.extend(costs);
+        self.order.clear();
+        self.order.extend(0..self.costs.len());
+        let costs = &self.costs;
+        self.order
+            .sort_unstable_by_key(|&item| (Reverse(costs[item]), item));
+        self.loads.clear();
+        self.loads.resize(shards.max(1), 0);
+        self.shard_of.clear();
+        self.shard_of.resize(self.costs.len(), 0);
+        for &item in &self.order {
+            let shard = (0..self.loads.len())
+                .min_by_key(|&shard| self.loads[shard])
+                .unwrap_or(0);
+            self.loads[shard] += self.costs[item];
+            self.shard_of[item] = shard;
+        }
+    }
+
+    /// The positions in `busy` (the items `cut` ran on) of shard
+    /// `shard`'s machines.
+    fn members<'a>(&'a self, shard: usize, busy: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+        busy.iter()
+            .zip(&self.shard_of)
+            .filter(move |&(_, &of)| of == shard)
+            .map(|(&idx, _)| idx)
+    }
+
+    /// The last cut's total and largest shard cost.
+    fn load(&self) -> ShardLoad {
+        ShardLoad {
+            busy: self.loads.iter().sum(),
+            largest_shard: self.loads.iter().copied().max().unwrap_or(0),
+        }
+    }
+}
+
+/// The stepping threads of a cluster besides the driver, created once
+/// per cluster and reused by every hand-off of every replay.
 #[derive(Debug)]
 pub(crate) struct WorkerPool {
-    jobs: Vec<Sender<Job>>,
+    jobs: Vec<SyncSender<Job>>,
     done_rx: Receiver<Done>,
     handles: Vec<JoinHandle<()>>,
+    /// Every machine's slot during a hand-off; empty between them.
+    slots: Vec<Option<Box<Machine>>>,
+    /// Empty shard buffers, back from the workers and kept for reuse.
+    spare: Vec<Shard>,
+    plan: ShardPlan,
+    /// Summed over every hand-off.
+    load: ShardLoad,
 }
 
 impl WorkerPool {
-    /// Spawns `workers` stepping threads (at least one).
-    pub(crate) fn spawn(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (done_tx, done_rx) = channel::<Done>();
+    /// A pool for `threads` stepping threads (at least two): the driver
+    /// and `threads − 1` spawned workers.
+    pub(crate) fn spawn(threads: usize) -> Self {
+        let workers = threads.max(2) - 1;
+        // Bounded channels preallocate their buffers: a worker holds at
+        // most one job, and at most one `Done` per worker is in flight,
+        // so no send ever blocks or allocates.
+        let (done_tx, done_rx) = sync_channel::<Done>(workers);
         let mut jobs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (job_tx, job_rx) = channel::<Job>();
+            let (job_tx, job_rx) = sync_channel::<Job>(1);
             let done_tx = done_tx.clone();
             handles.push(std::thread::spawn(move || worker_loop(job_rx, done_tx)));
             jobs.push(job_tx);
@@ -88,64 +198,100 @@ impl WorkerPool {
             jobs,
             done_rx,
             handles,
+            slots: Vec::new(),
+            spare: Vec::with_capacity(workers),
+            plan: ShardPlan::default(),
+            load: ShardLoad::default(),
         }
     }
 
-    /// Number of worker threads.
+    /// Number of spawned worker threads (the driver not included).
     pub(crate) fn workers(&self) -> usize {
         self.jobs.len()
     }
 
+    /// The hand-offs' balance so far (see [`ShardLoad`]).
+    pub(crate) fn load(&self) -> ShardLoad {
+        self.load
+    }
+
     /// Steps the machines at positions `busy` (ascending, distinct) to
-    /// cluster time `target_ms`: shards them across
-    /// `min(workers, busy.len())` workers, waits for those shards at
-    /// the barrier, and puts every machine back in its slot. The other
-    /// machines never leave the driver. When `profile` is enabled, the
-    /// wall-clock time the driver spends blocked on returning shards is
+    /// cluster time `target_ms`. Cuts them into `min(workers + 1,
+    /// busy.len())` shards with [`ShardPlan::cut`] on their active
+    /// instances, sends shards 1 and up to the workers, steps shard 0
+    /// on the calling thread, then waits for every worker's shard at
+    /// the barrier and puts each machine back in its slot. The other
+    /// machines never leave their slots. When `profile` is enabled, the
+    /// wall-clock time spent waiting after the driver's own shard is
     /// charged to the `"barrier"` stage.
     ///
     /// # Errors
     ///
-    /// * [`ClusterError::WorkerPanic`] if a worker panicked (the panic
-    ///   is caught, so the machines — and the pool — survive);
-    /// * the first stepping error any worker hit.
+    /// * [`ClusterError::WorkerPanic`] if stepping a shard panicked, on
+    ///   a worker or on the driver (the panic is caught, so the
+    ///   machines — and the pool — survive);
+    /// * the first stepping error hit, the driver's shard first.
     pub(crate) fn step_all(
-        &self,
-        machines: &mut Vec<Machine>,
+        &mut self,
+        machines: &mut Fleet,
         busy: &[usize],
         target_ms: u64,
         ctx: &Arc<ServingContext>,
         profile: &mut StageProfile,
     ) -> Result<()> {
-        let workers = self.workers().min(busy.len());
-        if workers == 0 {
+        let shards = (self.workers() + 1).min(busy.len());
+        if shards == 0 {
             return Ok(());
         }
+        self.plan.cut(
+            busy.iter()
+                .map(|&idx| machines[idx].harness().sim().active_instances() as u64),
+            shards,
+        );
+        let cut = self.plan.load();
+        self.load.busy += cut.busy;
+        self.load.largest_shard += cut.largest_shard;
+
         let count = machines.len();
-        let mut slots: Vec<Option<Machine>> =
-            std::mem::take(machines).into_iter().map(Some).collect();
+        self.slots.extend(machines.drain(..).map(Some));
         let mut first_error = None;
         let mut sent = 0;
-        let chunk_len = busy.len().div_ceil(workers);
-        for (job_tx, positions) in self.jobs.iter().zip(busy.chunks(chunk_len)) {
-            let shard = positions
-                .iter()
-                .filter_map(|&idx| Some((idx, slots[idx].take()?)))
-                .collect();
+        for (shard, job_tx) in (1..shards).zip(&self.jobs) {
+            let mut travelling = self.spare.pop().unwrap_or_default();
+            travelling.extend(
+                self.plan
+                    .members(shard, busy)
+                    .filter_map(|idx| Some((idx, self.slots[idx].take()?))),
+            );
+            if travelling.is_empty() {
+                self.spare.push(travelling);
+                continue;
+            }
             let job = Job {
-                shard,
+                shard: travelling,
                 target_ms,
                 ctx: Arc::clone(ctx),
             };
             if let Err(SendError(job)) = job_tx.send(job) {
                 // A dead worker hands the shard straight back.
-                for (idx, machine) in job.shard {
-                    slots[idx] = Some(machine);
-                }
+                restore(&mut self.slots, &mut self.spare, job.shard);
                 first_error = Some(ClusterError::WorkerPanic("worker channel closed".into()));
                 break;
             }
             sent += 1;
+        }
+
+        // Shard 0 is the driver's: its machines never leave their slots.
+        let driver = caught(|| {
+            for idx in self.plan.members(0, busy) {
+                if let Some(machine) = self.slots[idx].as_mut() {
+                    machine.step_to(target_ms, ctx)?;
+                }
+            }
+            Ok(())
+        });
+        if let Err(e) = driver {
+            first_error.get_or_insert(e);
         }
 
         let barrier_started = profile.start();
@@ -155,20 +301,27 @@ impl WorkerPool {
                     .get_or_insert(ClusterError::WorkerPanic("worker pool disconnected".into()));
                 break;
             };
-            for (idx, machine) in done.shard {
-                slots[idx] = Some(machine);
-            }
+            restore(&mut self.slots, &mut self.spare, done.shard);
             if let Err(e) = done.outcome {
                 first_error.get_or_insert(e);
             }
         }
         profile.stop("barrier", barrier_started);
-        machines.extend(slots.into_iter().flatten());
+        machines.extend(self.slots.drain(..).flatten());
         if machines.len() < count {
             first_error.get_or_insert(ClusterError::WorkerPanic("worker lost a machine".into()));
         }
         first_error.map_or(Ok(()), Err)
     }
+}
+
+/// Puts a shard's machines back in their slots and keeps its emptied
+/// buffer for the next hand-off.
+fn restore(slots: &mut [Option<Box<Machine>>], spare: &mut Vec<Shard>, mut shard: Shard) {
+    for (idx, machine) in shard.drain(..) {
+        slots[idx] = Some(machine);
+    }
+    spare.push(shard);
 }
 
 impl Drop for WorkerPool {
@@ -182,20 +335,19 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(jobs: Receiver<Job>, done: Sender<Done>) {
+fn worker_loop(jobs: Receiver<Job>, done: SyncSender<Done>) {
     while let Ok(job) = jobs.recv() {
         let Job {
             mut shard,
             target_ms,
             ctx,
         } = job;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let outcome = caught(|| {
             for (_, machine) in shard.iter_mut() {
                 machine.step_to(target_ms, &ctx)?;
             }
             Ok(())
-        }))
-        .unwrap_or_else(|panic| Err(ClusterError::WorkerPanic(panic_message(&panic))));
+        });
         // Release the context clone before signalling the barrier:
         // the main thread resumes the moment Done lands, and a lagging
         // Arc here would force Arc::make_mut in the next replay's
@@ -207,6 +359,14 @@ fn worker_loop(jobs: Receiver<Job>, done: Sender<Done>) {
             return;
         }
     }
+}
+
+/// Runs one shard's stepping, turning a panic into
+/// [`ClusterError::WorkerPanic`]; the shard's machines stay with the
+/// caller either way.
+fn caught(step: impl FnOnce() -> Result<()>) -> Result<()> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(step))
+        .unwrap_or_else(|panic| Err(ClusterError::WorkerPanic(panic_message(&*panic))))
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
@@ -221,22 +381,23 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 
 #[cfg(test)]
 mod tests {
+    use litmus_core::{DiscountModel, TableBuilder};
+    use litmus_platform::TenantId;
+    use litmus_sim::MachineSpec;
+    use litmus_workloads::suite;
+
     use super::*;
+    use crate::machine::{MachineConfig, MachineId};
 
     #[test]
     fn stepping_mode_defaults_to_pooled() {
         assert_eq!(SteppingMode::default(), SteppingMode::Pooled);
     }
 
-    #[test]
-    fn a_failed_hand_off_returns_every_machine_and_keeps_the_pool() {
-        use litmus_core::{DiscountModel, TableBuilder};
-        use litmus_platform::TenantId;
-        use litmus_sim::MachineSpec;
-        use litmus_workloads::suite;
-
-        use crate::machine::{MachineConfig, MachineId};
-
+    /// A serving context and one booted machine per entry of
+    /// `fillers`, machine `i` running `fillers[i]` background fillers:
+    /// its active instances, so its shard cost, at every step.
+    fn fleet(fillers: &[usize]) -> (Arc<ServingContext>, Fleet) {
         let spec = MachineSpec::cascade_lake();
         let tables = TableBuilder::new(spec.clone())
             .levels([6, 14, 24])
@@ -246,30 +407,183 @@ mod tests {
         let model = DiscountModel::fit(&tables).unwrap();
         let probe_language = tables.baselines()[0].language;
         let ctx = Arc::new(ServingContext::new(tables, model, 0.05));
-        let mut machines: Vec<Machine> = (0..3)
-            .map(|i| {
-                let config = MachineConfig::new(2).seed(i as u64);
-                Machine::boot(MachineId(i), 0, spec.clone(), &config, probe_language, &ctx).unwrap()
+        let machines = fillers
+            .iter()
+            .zip(0u32..)
+            .map(|(&fillers, i)| {
+                let config = MachineConfig::new(2)
+                    .background(fillers)
+                    .background_scale(0.05)
+                    .warmup_ms(0)
+                    .seed(u64::from(i));
+                let machine =
+                    Machine::boot(MachineId(i), 0, spec.clone(), &config, probe_language, &ctx);
+                Box::new(machine.unwrap())
             })
             .collect();
+        (ctx, machines)
+    }
+
+    fn ids(machines: &[Box<Machine>]) -> Vec<MachineId> {
+        machines.iter().map(|machine| machine.id()).collect()
+    }
+
+    fn costs(machines: &[Box<Machine>]) -> Vec<usize> {
+        machines
+            .iter()
+            .map(|machine| machine.harness().sim().active_instances())
+            .collect()
+    }
+
+    /// The shard the last hand-off put the machine at `position` of
+    /// `busy` in.
+    fn shard_of(pool: &WorkerPool, busy: &[usize], position: usize) -> usize {
+        let idx = busy.iter().position(|&idx| idx == position).unwrap();
+        pool.plan.shard_of[idx]
+    }
+
+    #[test]
+    fn a_failed_hand_off_returns_every_machine_and_keeps_the_pool() {
+        let (ctx, mut machines) = fleet(&[1, 2, 0, 3]);
+        assert_eq!(costs(&machines), [1, 2, 0, 3]);
         // Nothing warmed this function's solo oracle, so launching it
-        // fails on whichever worker steps machine 1.
+        // fails on whichever thread steps machine 1.
         let function = suite::by_name("auth-py").unwrap();
         assert!(!ctx.is_warmed(&function));
         machines[1].dispatch(0, function, TenantId(0), None);
+        let all = [MachineId(0), MachineId(1), MachineId(2), MachineId(3)];
 
-        let pool = WorkerPool::spawn(2);
+        let mut pool = WorkerPool::spawn(2);
         let mut profile = StageProfile::default();
-        let failed = pool.step_all(&mut machines, &[0, 1, 2], 5_000, &ctx, &mut profile);
+        // Machine 1 is the costliest of these three, so it lands on
+        // the driver's shard; then machine 3 outweighs it, and it
+        // lands on the worker's.
+        for (busy, healthy, driver_side, target_ms) in [
+            (&[0, 1, 2][..], &[0, 2][..], true, 10),
+            (&[1, 3], &[0, 2, 3], false, 30),
+        ] {
+            let failed = pool.step_all(&mut machines, busy, target_ms, &ctx, &mut profile);
+            assert!(
+                matches!(failed, Err(ClusterError::UnknownFunction(_))),
+                "{failed:?}"
+            );
+            assert_eq!(shard_of(&pool, busy, 1) == 0, driver_side, "{busy:?}");
+            assert_eq!(ids(&machines), all);
+
+            // The pool survives its error: the next hand-off goes through.
+            pool.step_all(&mut machines, healthy, target_ms + 10, &ctx, &mut profile)
+                .unwrap();
+            assert_eq!(ids(&machines), all);
+            assert!(pool.done_rx.try_recv().is_err(), "a stale Done is queued");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_drivers_shard_waits_for_the_workers_shard() {
+        let (ctx, mut machines) = fleet(&[2, 1]);
+        let mut pool = WorkerPool::spawn(2);
+        let mut profile = StageProfile::default();
+        let busy = [0, 1];
+        machines[0].panic_on_step = true;
+        let before = machines[1].harness().sim().now_ms();
+        let failed = pool.step_all(&mut machines, &busy, 50, &ctx, &mut profile);
         assert!(
-            matches!(failed, Err(ClusterError::UnknownFunction(_))),
+            matches!(&failed, Err(ClusterError::WorkerPanic(msg)) if msg.contains("injected")),
             "{failed:?}"
         );
-        let ids: Vec<MachineId> = machines.iter().map(Machine::id).collect();
-        assert_eq!(ids, [MachineId(0), MachineId(1), MachineId(2)]);
+        // Machine 0 (two fillers) was the driver's, machine 1 the
+        // worker's: the error surfaced only once the worker's shard was
+        // stepped and back.
+        assert_eq!(
+            (shard_of(&pool, &busy, 0), shard_of(&pool, &busy, 1)),
+            (0, 1)
+        );
+        assert_eq!(ids(&machines), [MachineId(0), MachineId(1)]);
+        assert!(machines[1].harness().sim().now_ms() > before);
+        assert!(pool.done_rx.try_recv().is_err(), "a stale Done is queued");
 
-        // The pool survives its error: the next hand-off goes through.
-        pool.step_all(&mut machines, &[0, 2], 10_000, &ctx, &mut profile)
+        machines[0].panic_on_step = false;
+        let reached = |machines: &[Box<Machine>]| {
+            machines
+                .iter()
+                .map(|machine| machine.harness().sim().now_ms())
+                .collect::<Vec<_>>()
+        };
+        let after_panic = reached(&machines);
+        pool.step_all(&mut machines, &busy, 100, &ctx, &mut profile)
             .unwrap();
+        assert_eq!(ids(&machines), [MachineId(0), MachineId(1)]);
+        let stepped = reached(&machines);
+        assert!(stepped
+            .iter()
+            .zip(&after_panic)
+            .all(|(now, then)| now > then));
+        assert!(pool.done_rx.try_recv().is_err(), "a stale Done is queued");
+    }
+
+    /// The shards `cut` put items `0..costs.len()` in.
+    fn lpt(costs: &[u64], shards: usize) -> Vec<usize> {
+        let mut plan = ShardPlan::default();
+        plan.cut(costs.iter().copied(), shards);
+        plan.shard_of
+    }
+
+    #[test]
+    fn lpt_places_every_item_once_within_the_greedy_bound() {
+        let mut plan = ShardPlan::default();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        for _ in 0..2_000 {
+            let items = 1 + draw(12) as usize;
+            let shards = 1 + draw(items as u64 + 1) as usize;
+            let costs: Vec<u64> = (0..items).map(|_| draw(30)).collect();
+            plan.cut(costs.iter().copied(), shards);
+            let positions: Vec<usize> = (0..items).collect();
+            let mut loads = vec![0; shards];
+            let mut members = 0;
+            for (shard, load) in loads.iter_mut().enumerate() {
+                for item in plan.members(shard, &positions) {
+                    *load += costs[item];
+                    members += 1;
+                }
+            }
+            // Every item sits in exactly one shard.
+            assert_eq!(members, items, "{costs:?} over {shards}");
+            assert_eq!(loads, plan.loads);
+            let total: u64 = costs.iter().sum();
+            let largest_cost = costs.iter().copied().max().unwrap();
+            let largest_shard = plan.load().largest_shard;
+            assert_eq!(plan.load().busy, total);
+            assert!(
+                largest_shard * shards as u64 <= total + largest_cost * shards as u64,
+                "{costs:?} over {shards}: largest shard {largest_shard}"
+            );
+            // A reused plan cuts exactly like a fresh one.
+            assert_eq!(plan.shard_of, lpt(&costs, shards));
+        }
+    }
+
+    #[test]
+    fn lpt_breaks_ties_by_position_then_by_shard() {
+        // Equal costs go in position order, each to the lowest of the
+        // least-loaded shards.
+        assert_eq!(lpt(&[1, 1, 1, 1], 2), [0, 1, 0, 1]);
+        assert_eq!(lpt(&[5, 5, 5], 3), [0, 1, 2]);
+        // Zero costs never load a shard, so they all follow the first.
+        assert_eq!(lpt(&[0, 0, 0], 3), [0, 0, 0]);
+        assert_eq!(lpt(&[4, 0, 0], 2), [0, 1, 1]);
+        // Largest first: 3 → shard 0; the two 2s (position order) →
+        // shard 1; the 1 → shard 0, tied with shard 1 at 4.
+        assert_eq!(lpt(&[2, 3, 2, 1], 2), [1, 0, 1, 0]);
+        // The dense fleet's shape: three fillers at positions 0–2 land
+        // in three different shards, where contiguous chunks of two
+        // would have paired two of them.
+        assert_eq!(lpt(&[22, 21, 22, 2, 3, 1], 4), [0, 2, 1, 3, 3, 3]);
+        assert_eq!(lpt(&[7], 1), [0]);
     }
 }

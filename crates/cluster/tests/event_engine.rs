@@ -381,8 +381,10 @@ fn lone_busy_machine_steps_on_the_driver() {
 #[test]
 fn busy_machines_still_hand_off_to_the_pool() {
     // Two filler machines keep at least two machines busy at every
-    // boundary, so every step hands off; three threads over those
-    // machines gives uneven shards.
+    // boundary, so every step hands off. Threads count the driver: 2, 3
+    // and 4 threads step one shard on the driver and the rest on 1, 2
+    // and 3 workers, and three threads over those machines gives
+    // uneven shards.
     let trace = bursty_trace(1_500, 29);
     let profiled = || ClusterDriver::new(LitmusAware::new()).profiling(true);
     for stepping in [SteppingMode::Pooled, SteppingMode::EventDriven] {
@@ -391,7 +393,7 @@ fn busy_machines_still_hand_off_to_the_pool() {
             skewed_config(4, 1).stepping(stepping),
             trace.source(),
         );
-        for threads in [2, 3] {
+        for threads in [2, 3, 4] {
             let (many, _) = replay(
                 profiled(),
                 skewed_config(4, threads).stepping(stepping),

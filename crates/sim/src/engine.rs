@@ -22,10 +22,14 @@ use crate::Result;
 /// runs; see there.
 const FIXED_POINT_ITERS: usize = 8;
 
-/// Sets in the lone-domain memo (rule 8 of [`Simulator::step`]), each
-/// of `LONE_MEMO_WAYS` entries: 256 in all. A power of two, so that the
-/// top bits of a key's hash pick its set.
+/// Sets in the lone-domain memo (rule 8 of [`Simulator::step`]) at full
+/// size, each of `LONE_MEMO_WAYS` entries: 256 in all. The memo starts
+/// at `LONE_MEMO_FIRST_SETS` sets and grows to full size the first time
+/// a store finds its set full, so a short-lived simulator that stores a
+/// few solves allocates a few sets. Powers of two, so that the top bits
+/// of a key's hash pick its set.
 const LONE_MEMO_SETS: usize = 64;
+const LONE_MEMO_FIRST_SETS: usize = 4;
 const LONE_MEMO_WAYS: usize = 4;
 
 /// Safety horizon for [`Simulator::run_to_completion`], in quanta (ms).
@@ -297,12 +301,28 @@ struct LoneSet {
     oldest: usize,
 }
 
+impl LoneSet {
+    /// Stores `entry` with tag `tag` over the oldest way.
+    fn push(&mut self, tag: u64, entry: (LoneKey, CongestionSnapshot)) {
+        self.tags[self.oldest] = tag;
+        self.ways[self.oldest] = Some(entry);
+        self.oldest = (self.oldest + 1) % LONE_MEMO_WAYS;
+    }
+
+    /// Whether every way holds an entry.
+    fn is_full(&self) -> bool {
+        self.tags.iter().all(|&tag| tag != 0)
+    }
+}
+
 /// Solved snapshots of lone domains (rule 8 of [`Simulator::step`]).
 /// Set-associative: the top bits of a key's hash pick one set, and a
-/// store overwrites that set's oldest entry.
+/// store overwrites that set's oldest entry. Below full size no store
+/// overwrites: a store whose set is full grows the memo first.
 #[derive(Debug, Default)]
 struct LoneMemo {
-    /// `LONE_MEMO_SETS` sets; empty until the first store.
+    /// `LONE_MEMO_FIRST_SETS` sets, then `LONE_MEMO_SETS`; empty until
+    /// the first store.
     sets: Vec<LoneSet>,
     /// Lookups that found their key.
     #[cfg(test)]
@@ -317,14 +337,18 @@ impl LoneMemo {
         })
     }
 
-    /// The set a key with hash `hash` maps to: the hash's top bits.
-    fn set(hash: u64) -> usize {
-        (hash >> (u64::BITS - LONE_MEMO_SETS.trailing_zeros())) as usize
+    /// The set a key with hash `hash` maps to among `sets` sets (a
+    /// power of two, at least 2): the hash's top bits.
+    fn set(hash: u64, sets: usize) -> usize {
+        (hash >> (u64::BITS - sets.trailing_zeros())) as usize
     }
 
     /// The snapshot stored for `key`, whose hash is `hash`, if any.
     fn get(&mut self, hash: u64, key: &LoneKey) -> Option<CongestionSnapshot> {
-        let set = self.sets.get(Self::set(hash))?;
+        if self.sets.is_empty() {
+            return None;
+        }
+        let set = &self.sets[Self::set(hash, self.sets.len())];
         let snapshot = (0..LONE_MEMO_WAYS)
             .filter(|&way| set.tags[way] == hash | 1)
             .find_map(|way| match &set.ways[way] {
@@ -341,19 +365,42 @@ impl LoneMemo {
     /// Stores `snapshot` for `key`, whose hash is `hash`.
     fn put(&mut self, hash: u64, key: LoneKey, snapshot: CongestionSnapshot) {
         if self.sets.is_empty() {
-            self.sets.resize_with(LONE_MEMO_SETS, LoneSet::default);
+            self.sets
+                .resize_with(LONE_MEMO_FIRST_SETS, LoneSet::default);
         }
-        let set = &mut self.sets[Self::set(hash)];
-        set.tags[set.oldest] = hash | 1;
-        set.ways[set.oldest] = Some((key, snapshot));
-        set.oldest = (set.oldest + 1) % LONE_MEMO_WAYS;
+        let sets = self.sets.len();
+        if sets < LONE_MEMO_SETS && self.sets[Self::set(hash, sets)].is_full() {
+            self.grow();
+        }
+        let set = Self::set(hash, self.sets.len());
+        self.sets[set].push(hash | 1, (key, snapshot));
+    }
+
+    /// Grows to full size, splitting each set by the next bits of its
+    /// keys' hashes. Below full size nothing was overwritten, so each
+    /// set's ways hold its keys in store order, and the split keeps that
+    /// order: every key lands in the way, and every set at the oldest
+    /// way, that a full-size memo would have from the start. So the memo
+    /// holds, and finds, exactly what a full-size one would.
+    fn grow(&mut self) {
+        let mut grown = Vec::with_capacity(LONE_MEMO_SETS);
+        grown.resize_with(LONE_MEMO_SETS, LoneSet::default);
+        for set in self.sets.drain(..) {
+            for (tag, entry) in set.tags.into_iter().zip(set.ways) {
+                if let Some(entry) = entry {
+                    grown[Self::set(tag, LONE_MEMO_SETS)].push(tag, entry);
+                }
+            }
+        }
+        self.sets = grown;
     }
 }
 
 /// Per-quantum working buffers and the intermediates reused across
 /// quanta, kept on the simulator so that a quantum refills them in place
 /// instead of allocating; each grows only until it has held the largest
-/// set seen, and the lone-domain memo is allocated once, at full size.
+/// set seen, and the lone-domain memo once, to full size, when a store
+/// finds its small first table's set full.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Free hardware threads per core.
@@ -1646,6 +1693,52 @@ mod tests {
             .phase(ExecPhase::new(1e9, cpi, mpki, ratio, blocking, 24.0))
             .build()
             .unwrap()
+    }
+
+    /// The lone-domain memo starts small and grows to full size when a
+    /// store finds its set full; it must hold, and so find, exactly what
+    /// a memo allocated at full size holds. Each trial looks up keys
+    /// from its own pool of 400, more than the memo's 256 entries, so it
+    /// grows once and then overwrites; from the growth on, every set's
+    /// tags and oldest way must match the full-size memo's.
+    #[test]
+    fn a_growing_lone_memo_holds_what_a_full_size_one_holds() {
+        let snapshot = CongestionSnapshot::idle(&MachineSpec::cascade_lake());
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let (mut hits, mut lookups) = (0, 0);
+        for trial in 0..200u64 {
+            let mut growing = LoneMemo::default();
+            let mut full = LoneMemo::default();
+            full.sets.resize_with(LONE_MEMO_SETS, LoneSet::default);
+            for _ in 0..600 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let key = [trial, state % 400, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+                let hash = LoneMemo::hash(&key);
+                lookups += 1;
+                match (growing.get(hash, &key), full.get(hash, &key)) {
+                    (Some(_), Some(_)) => hits += 1,
+                    (None, None) => {
+                        growing.put(hash, key, snapshot);
+                        full.put(hash, key, snapshot);
+                    }
+                    (a, b) => panic!("trial {trial}: growing {a:?}, full size {b:?}"),
+                }
+                if growing.sets.len() == LONE_MEMO_SETS {
+                    for (a, b) in growing.sets.iter().zip(&full.sets) {
+                        assert_eq!((a.tags, a.oldest), (b.tags, b.oldest), "trial {trial}");
+                    }
+                } else {
+                    assert_eq!(growing.sets.len(), LONE_MEMO_FIRST_SETS);
+                }
+            }
+            assert_eq!(growing.sets.len(), LONE_MEMO_SETS, "trial {trial}");
+        }
+        assert!(
+            hits > lookups / 10 && hits < lookups * 9 / 10,
+            "{hits} hits"
+        );
     }
 
     /// Rule 8 keys a lone domain's solve by every input the solve reads.
