@@ -27,13 +27,16 @@
 //! takes under 10 ms, and one host stall would decide it.
 //!
 //! Every run also records `sim_quanta` (simulator quanta its machines
-//! stepped) and `sim_solves` (how many of them ran the congestion fixed
+//! stepped), `sim_solves` (how many of them ran the congestion fixed
 //! point rather than reusing the previous quantum's solve or finding it
-//! in the lone-domain memo). Both are sim-clock counts, identical on
-//! every host, and the binary exits non-zero if the sparse event-driven
-//! arm solves more than `MAX_SPARSE_SOLVE_SHARE` of its quanta: a broken
-//! reuse rule, or a memo that stopped hitting, pushes that share up
-//! without changing any output.
+//! in the lone-domain memo) and `sim_bulk_quanta` (how many of them a
+//! stable plan advanced in bulk rather than one step each). All three
+//! are sim-clock counts, identical on every host. The binary exits
+//! non-zero if the sparse event-driven arm solves more than
+//! `MAX_SPARSE_SOLVE_SHARE` of its quanta, or advances less than
+//! `MIN_SPARSE_BULK_SHARE` of them in bulk: a broken reuse rule, a memo
+//! that stopped hitting, or a bulk advance that stopped firing moves
+//! its share without changing any output.
 //!
 //! Every run also records `shard_bound`: over all of the replay's
 //! hand-offs, the busy machines' active simulator instances summed,
@@ -80,6 +83,11 @@ const SPARSE_REPS: usize = 3;
 /// full mode and 0.035 in smoke mode, and 0.38 in both without the
 /// lone-domain memo.
 const MAX_SPARSE_SOLVE_SHARE: f64 = 0.1;
+/// Least share of its quanta the sparse event-driven arm must advance
+/// in bulk (see the module docs). When the floor was set, the arm
+/// advanced 0.504 of them in bulk in full mode and in smoke mode alike,
+/// and none without the bulk advance.
+const MIN_SPARSE_BULK_SHARE: f64 = 0.25;
 /// Least `shard_bound` the dense arm's 4-thread runs may read (see the
 /// module docs). When the floor was set, greedy LPT on active instances
 /// read 3.20 in full mode and 3.79 in smoke mode, and contiguous chunks
@@ -227,10 +235,12 @@ struct RunResult {
     reps: usize,
     wall_ms: Vec<f64>,
     best: ClusterReport,
-    /// Simulator quanta stepped, and how many solved the congestion
-    /// fixed point; the same in every rep.
+    /// Simulator quanta stepped, how many solved the congestion fixed
+    /// point and how many a stable plan advanced in bulk; the same in
+    /// every rep.
     quanta: u64,
     solves: u64,
+    bulk_quanta: u64,
     /// The hand-offs' sim-clock balance; the same in every rep.
     shard_load: ShardLoad,
 }
@@ -252,7 +262,7 @@ fn run<S: TraceSource>(
     let config = config.clone().stepping(engine.stepping());
     let mut wall_ms = Vec::with_capacity(reps);
     let mut best: Option<(f64, ClusterReport)> = None;
-    let mut counts = (0, 0);
+    let mut counts = (0, 0, 0);
     let mut shard_load = ShardLoad::default();
     for _ in 0..reps {
         let mut cluster =
@@ -265,7 +275,11 @@ fn run<S: TraceSource>(
             .expect("replay succeeds");
         let elapsed = started.elapsed().as_secs_f64() * 1e3;
         wall_ms.push(elapsed);
-        counts = (cluster.quanta_stepped(), cluster.congestion_solves());
+        counts = (
+            cluster.quanta_stepped(),
+            cluster.congestion_solves(),
+            cluster.bulk_quanta(),
+        );
         shard_load = cluster.shard_load();
         if best.as_ref().is_none_or(|(t, _)| elapsed < *t) {
             best = Some((elapsed, report));
@@ -280,6 +294,7 @@ fn run<S: TraceSource>(
         best,
         quanta: counts.0,
         solves: counts.1,
+        bulk_quanta: counts.2,
         shard_load,
     }
 }
@@ -317,6 +332,7 @@ fn run_json(result: &RunResult, invocations: usize) -> String {
     obj.u64_field("peak_machines", result.best.peak_machines as u64);
     obj.u64_field("sim_quanta", result.quanta);
     obj.u64_field("sim_solves", result.solves);
+    obj.u64_field("sim_bulk_quanta", result.bulk_quanta);
     obj.f64_field("shard_bound", result.shard_load.bound());
     // Wall-clock stage breakdown from the fastest rep — slice-vs-event
     // lives here ("fan-out"/"barrier" and "bulk-account" especially).
@@ -333,9 +349,10 @@ fn print_run(result: &RunResult, invocations: usize) {
         invocations as f64 / (best_ms / 1e3),
     );
     println!(
-        "    sim quanta {}, congestion solves {}, shard bound {:.2}",
+        "    sim quanta {}, congestion solves {}, bulk quanta {}, shard bound {:.2}",
         result.quanta,
         result.solves,
+        result.bulk_quanta,
         result.shard_load.bound()
     );
     print!("{}", result.best.telemetry().profile().summary());
@@ -482,6 +499,16 @@ fn main() {
                 "BENCH GATE FAIL (sparse, threads={threads}): event-driven replay solved the \
                  congestion fixed point in {solve_share:.2} of its quanta (bound \
                  {MAX_SPARSE_SOLVE_SHARE}) — quantum reuse regressed"
+            );
+            std::process::exit(1);
+        }
+        // The bulk-advance gate: a host-independent count as well.
+        let bulk_share = event.bulk_quanta as f64 / event.quanta.max(1) as f64;
+        if bulk_share < MIN_SPARSE_BULK_SHARE {
+            eprintln!(
+                "BENCH GATE FAIL (sparse, threads={threads}): event-driven replay advanced \
+                 {bulk_share:.2} of its quanta in bulk (floor {MIN_SPARSE_BULK_SHARE}) — \
+                 the stable-plan advance regressed"
             );
             std::process::exit(1);
         }

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `--fast` shrinks workloads and repetition counts for smoke runs;
-//! the `EXPERIMENTS.md` numbers come from the default (full) fidelity.
+//! the default (full) fidelity is the one to set against the paper.
 
 use std::process::ExitCode;
 

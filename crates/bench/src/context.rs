@@ -3,7 +3,7 @@ use litmus_sim::MachineSpec;
 
 /// Global knobs for the reproduction harness.
 ///
-/// `full()` runs at the fidelity used for `EXPERIMENTS.md`;
+/// `full()` runs at the fidelity `litmus-repro` uses by default;
 /// `fast()` shrinks workloads and repetition counts for smoke runs and
 /// CI (`litmus-repro --fast …`).
 #[derive(Debug, Clone)]

@@ -3,8 +3,8 @@
 //!
 //! The `litmus-repro` binary exposes one subcommand per experiment
 //! (`table1`, `fig1` … `fig21`, `all`); each prints the same rows or
-//! series the paper reports. `EXPERIMENTS.md` in the repository root
-//! records paper-vs-measured numbers produced by this harness.
+//! series the paper reports. The README's *Reproducing paper figures*
+//! section shows how to run it.
 //!
 //! Absolute values differ from the paper (our substrate is an analytic
 //! simulator, not a Cascade Lake testbed); the *shapes* — who wins, by

@@ -445,6 +445,17 @@ impl Cluster {
             .sum()
     }
 
+    /// How many of [`Cluster::quanta_stepped`] the simulators advanced in
+    /// bulk under a stable plan instead of stepping them one at a time,
+    /// across the live fleet ([`Machine::bulk_quanta`]). A sim-clock
+    /// count, identical on every host.
+    pub fn bulk_quanta(&self) -> u64 {
+        self.machines
+            .iter()
+            .map(|machine| machine.bulk_quanta())
+            .sum()
+    }
+
     /// How evenly the hand-offs so far split their work: the busy
     /// machines' active simulator instances and the largest shard's,
     /// each summed over every hand-off of the cluster's lifetime.
@@ -1627,8 +1638,11 @@ fn mirror_into_timeline(
 #[cfg(test)]
 mod tests {
     use litmus_core::TableBuilder;
+    use litmus_platform::TenantId;
+    use litmus_workloads::suite::{self, TenantClass};
 
     use super::*;
+    use crate::LitmusAware;
 
     #[test]
     fn the_driver_is_one_of_the_stepping_threads() {
@@ -1661,6 +1675,66 @@ mod tests {
             let load = cluster.shard_load();
             assert_eq!(load.busy, 2 * handed_off, "threads({threads})");
             assert_eq!(load.largest_shard, handed_off, "threads({threads})");
+        }
+    }
+
+    /// An arrival due inside a stable run launches at the quantum it
+    /// would with every quantum stepped: while a concurrency slot is
+    /// free, the bulk advance stops at the next queued launch, and while
+    /// none is, the launch waits for a completion, which the advance
+    /// never reaches. Whole reports and exports agree with a fleet that
+    /// steps every quantum, at one and two threads under both engines.
+    #[test]
+    fn arrivals_inside_a_stable_run_launch_as_stepping_launches_them() {
+        let spec = MachineSpec::cascade_lake();
+        let tables = TableBuilder::new(spec.clone())
+            .levels([6, 14, 24])
+            .reference_scale(0.03)
+            .build()
+            .unwrap();
+        let model = DiscountModel::fit(&tables).unwrap();
+        // Long bodies alone on idle machines run stable for many quanta;
+        // an arrival every 7 ms lands inside those runs, first while
+        // slots are free, then while both are taken.
+        let pool = suite::tenant_pool(TenantClass::Analytics);
+        let events = (0..24)
+            .map(|i| TraceEvent {
+                at_ms: 3 + 7 * i as u64,
+                function: pool[i % pool.len()].clone(),
+                tenant: TenantId(i as u32 % 3),
+            })
+            .collect();
+        let trace = InvocationTrace::from_events(events);
+        let machine = MachineConfig::new(2).max_inflight(2).warmup_ms(0);
+        for stepping in [SteppingMode::Pooled, SteppingMode::EventDriven] {
+            for threads in [1, 2] {
+                let config = ClusterConfig::homogeneous(spec.clone(), 2, 2)
+                    .machines(vec![machine.clone().seed(1), machine.clone().seed(2)])
+                    .serving_scale(0.05)
+                    .threads(threads)
+                    .stepping(stepping);
+                let replay = |step_every_quantum: bool| {
+                    let mut cluster =
+                        Cluster::build(config.clone(), tables.clone(), model.clone()).unwrap();
+                    for machine in &mut cluster.machines {
+                        machine.step_every_quantum = step_every_quantum;
+                    }
+                    let report = ClusterDriver::new(LitmusAware::new())
+                        .replay(&mut cluster, &trace)
+                        .unwrap();
+                    (report, cluster.quanta_stepped(), cluster.bulk_quanta())
+                };
+                let (bulk, quanta, advanced) = replay(false);
+                let (stepped, stepped_quanta, none) = replay(true);
+                let case = format!("{stepping:?}, threads({threads})");
+                assert!(
+                    advanced > quanta / 4,
+                    "{case}: {advanced} of {quanta} in bulk"
+                );
+                assert_eq!((stepped_quanta, none), (quanta, 0), "{case}");
+                assert_eq!(bulk, stepped, "{case}");
+                assert_eq!(bulk.timeline_jsonl(), stepped.timeline_jsonl(), "{case}");
+            }
         }
     }
 }

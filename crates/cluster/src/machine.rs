@@ -199,6 +199,11 @@ pub struct Machine {
     /// worker pool's panic paths.
     #[cfg(test)]
     pub(crate) panic_on_step: bool,
+    /// Makes [`Machine::step_to`] step every quantum, never advancing a
+    /// stable plan in bulk: the oracle the bulk advance is tested
+    /// against.
+    #[cfg(test)]
+    pub(crate) step_every_quantum: bool,
 }
 
 impl Machine {
@@ -251,6 +256,8 @@ impl Machine {
             trace_records: Vec::new(),
             #[cfg(test)]
             panic_on_step: false,
+            #[cfg(test)]
+            step_every_quantum: false,
         };
         machine.probe(probe_language, ctx)?;
         machine.epoch_ms = machine.harness.sim().now_ms();
@@ -376,6 +383,17 @@ impl Machine {
     /// `step_to(b)` directly, which is what lets the event-driven
     /// engine merge quiet slices.
     ///
+    /// Stable stretches cost a few additions per quantum: after a
+    /// quantum that reused its solve and changed nothing, the plan holds
+    /// until a launch or a phase end, and the simulator advances it in
+    /// one call ([`litmus_sim::Simulator::advance_stable`]) up to the
+    /// target or, while a concurrency slot is free, the next queued
+    /// arrival's launch quantum, whichever is sooner — bit-identical to
+    /// stepping those quanta, because the advance stops before any phase
+    /// ends, so nothing completes, and launches fire at the same local
+    /// quantum. Those quanta count in [`Machine::quanta_stepped`] and
+    /// [`Machine::bulk_quanta`], never in [`Machine::congestion_solves`].
+    ///
     /// # Errors
     ///
     /// * [`crate::ClusterError::UnknownFunction`] when a queued arrival's
@@ -387,12 +405,12 @@ impl Machine {
         let target = self.local_ms(cluster_ms);
         while self.harness.sim().now_ms() < target {
             self.launch_due(ctx)?;
+            let now = self.harness.sim().now_ms();
             if self.harness.sim().active_instances() == 0 {
                 // Nothing can complete before the next queued launch
                 // (launch_due above drained everything already due), so
                 // jump straight there — or to the target if the queue
                 // is empty or due later.
-                let now = self.harness.sim().now_ms();
                 let next = self.queue.front().map_or(target, |queued| {
                     self.local_ms(queued.launch_at_ms).clamp(now, target)
                 });
@@ -400,6 +418,26 @@ impl Machine {
                     self.harness.fast_forward_to(next)?;
                     continue;
                 }
+            }
+            // A plan the last quantum left stable, in this call or the
+            // previous one, holds until a launch or a phase end. Only a
+            // free slot lets the next queued arrival launch.
+            let horizon = match self.queue.front() {
+                Some(queued) if self.inflight.len() < self.max_inflight => {
+                    self.local_ms(queued.launch_at_ms).clamp(now, target)
+                }
+                _ => target,
+            };
+            #[cfg(test)]
+            let horizon = if self.step_every_quantum {
+                now
+            } else {
+                horizon
+            };
+            let advanced = self.harness.advance_stable(horizon);
+            if advanced > 0 {
+                self.quanta += advanced;
+                continue;
             }
             let solved_before = self.harness.sim().congestion_solves();
             let events = self.harness.step()?;
@@ -539,6 +577,14 @@ impl Machine {
     /// count, identical on every host.
     pub fn congestion_solves(&self) -> u64 {
         self.solves
+    }
+
+    /// How many of [`Machine::quanta_stepped`] the simulator advanced in
+    /// bulk under a stable plan ([`litmus_sim::Simulator::bulk_quanta`])
+    /// rather than stepping them one at a time. A sim-clock count,
+    /// identical on every host.
+    pub fn bulk_quanta(&self) -> u64 {
+        self.harness.sim().bulk_quanta()
     }
 
     /// Invocations dispatched here and not re-dispatched away.

@@ -257,6 +257,17 @@ impl CoRunHarness {
         Ok(events)
     }
 
+    /// Advances the machine up to local sim time `until_ms` while its
+    /// last quantum's plan stays stable, in one call
+    /// ([`Simulator::advance_stable`]), and returns the quanta advanced
+    /// (0 when the plan is not stable). Bit-identical to calling
+    /// [`CoRunHarness::step`] once per quantum: the advance completes
+    /// nothing, so backfill has nothing to replace.
+    #[inline]
+    pub fn advance_stable(&mut self, until_ms: u64) -> u64 {
+        self.sim.advance_stable(until_ms)
+    }
+
     /// Fast-forwards an *idle* machine (no active instances, serving or
     /// filler) to local sim time `target_ms` without stepping every
     /// quantum — bit-identical to calling [`CoRunHarness::step`] once

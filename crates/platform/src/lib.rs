@@ -53,8 +53,8 @@ pub use harness::{CoRunEnv, CoRunHarness, HarnessConfig};
 pub use monitor::{CongestionMonitor, CongestionSample};
 pub use trace::{
     ArrivalPattern, ChunkedSource, ConcatSource, CountingSource, InvocationTrace,
-    MaterializedSource, SyntheticSource, TenantId, TenantTraffic, TraceDriver, TraceEvent,
-    TraceOutcome, TraceSource,
+    MaterializedSource, SkippedRun, SyntheticSource, TenantId, TenantTraffic, TraceDriver,
+    TraceEvent, TraceOutcome, TraceSource,
 };
 
 /// Result alias used throughout the crate.

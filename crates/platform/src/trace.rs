@@ -59,18 +59,32 @@ pub trait TraceSource {
     /// is exhausted.
     fn next_event(&mut self) -> Option<TraceEvent>;
 
-    /// Consumes exactly the event [`TraceSource::next_event`] would
-    /// have yielded and returns its arrival time, or `None` once the
-    /// trace is exhausted. Afterwards the source is where one
-    /// `next_event` call would have left it, so any interleaving of
-    /// the two methods walks the same time sequence.
+    /// Consumes exactly the next `n` events that `n` calls to
+    /// [`TraceSource::next_event`] would have yielded, stopping early
+    /// only at the end of the trace, and returns the run it passed: how
+    /// many events and the arrival times of the first and the last.
+    /// `None` when it passed nothing (`n` is zero or the trace is
+    /// exhausted); a run shorter than `n` means the trace is exhausted.
+    /// Afterwards the source is where those `next_event` calls would
+    /// have left it, so any interleaving of the two methods walks the
+    /// same time sequence.
     ///
-    /// A consumer that drops an event by position alone (rate
-    /// thinning) calls this instead, and a source that builds events
-    /// lazily overrides it to skip building the dropped one. The
-    /// default builds the event and discards it.
-    fn skip_event(&mut self) -> Option<u64> {
-        self.next_event().map(|event| event.at_ms)
+    /// A consumer that drops events by position alone (rate thinning)
+    /// calls this once for each run of them. The default builds each
+    /// event and discards it; a source that builds events lazily
+    /// overrides it to move past the run without building any.
+    fn skip_events(&mut self, n: usize) -> Option<SkippedRun> {
+        if n == 0 {
+            return None;
+        }
+        let mut run = SkippedRun::one(self.next_event()?.at_ms);
+        while run.count < n {
+            let Some(event) = self.next_event() else {
+                break;
+            };
+            run = run.then(SkippedRun::one(event.at_ms));
+        }
+        Some(run)
     }
 
     /// `(lower, upper)` bounds on the number of remaining events, like
@@ -80,13 +94,44 @@ pub trait TraceSource {
     }
 }
 
+/// A run of consecutive events passed by [`TraceSource::skip_events`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SkippedRun {
+    /// Events in the run, at least one.
+    pub count: usize,
+    /// Arrival time of the run's first event, ms.
+    pub first_ms: u64,
+    /// Arrival time of the run's last event, ms.
+    pub last_ms: u64,
+}
+
+impl SkippedRun {
+    /// The run of the single event arriving at `at_ms`.
+    pub fn one(at_ms: u64) -> Self {
+        SkippedRun {
+            count: 1,
+            first_ms: at_ms,
+            last_ms: at_ms,
+        }
+    }
+
+    /// This run followed directly by `next`.
+    pub fn then(self, next: SkippedRun) -> Self {
+        SkippedRun {
+            count: self.count + next.count,
+            first_ms: self.first_ms,
+            last_ms: next.last_ms,
+        }
+    }
+}
+
 impl<S: TraceSource + ?Sized> TraceSource for &mut S {
     fn next_event(&mut self) -> Option<TraceEvent> {
         (**self).next_event()
     }
 
-    fn skip_event(&mut self) -> Option<u64> {
-        (**self).skip_event()
+    fn skip_events(&mut self, n: usize) -> Option<SkippedRun> {
+        (**self).skip_events(n)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -175,6 +220,11 @@ impl<S: TraceSource> ChunkedSource<S> {
 /// bounded source whose span is at most the gap to the next offset.
 /// The output is checked: an event that would travel back in time
 /// panics rather than silently corrupting the canonical replay order.
+/// A run passed by [`TraceSource::skip_events`] is checked by its
+/// first time, and its last time is what the next event is checked
+/// against; the part itself yields the run in time order. So a part
+/// that overruns the next part's offset is caught whether its last
+/// events, or the next part's first, are pulled or skipped.
 #[derive(Debug, Clone)]
 pub struct ConcatSource<S> {
     /// `(start offset ms, source)`, played in order.
@@ -203,47 +253,59 @@ impl<S: TraceSource> ConcatSource<S> {
     }
 }
 
-impl<S: TraceSource> ConcatSource<S> {
-    /// Advances to the next event with `pull` (the current part's
-    /// `next_event` or `skip_event`, with `time_of` reaching its
-    /// arrival time), moving on past exhausted parts, and returns it
-    /// shifted onto the global clock. Built and skipped events pass the
-    /// same time-order check.
-    fn advance<T>(
-        &mut self,
-        mut pull: impl FnMut(&mut S) -> Option<T>,
-        time_of: impl Fn(&mut T) -> &mut u64,
-    ) -> Option<T> {
+/// The time-order check of [`ConcatSource`]: a run of part `part`'s
+/// events from `first_ms` to `last_ms` (on the global clock) may not
+/// start before `last_ms_before`, the previous event's time. Returns the
+/// time the next event is checked against.
+fn check_order(part: usize, last_ms_before: u64, first_ms: u64, last_ms: u64) -> u64 {
+    assert!(
+        first_ms >= last_ms_before,
+        "ConcatSource part {part} broke time order: event at {first_ms} ms \
+         after {last_ms_before} ms (its span overruns the next part's offset)",
+    );
+    last_ms
+}
+
+impl<S: TraceSource> TraceSource for ConcatSource<S> {
+    /// Pulls from the current part, moving on past exhausted ones, and
+    /// returns the event shifted onto the global clock.
+    fn next_event(&mut self) -> Option<TraceEvent> {
         while let Some((offset, source)) = self.parts.get_mut(self.current) {
-            match pull(source) {
-                Some(mut item) => {
-                    let at = time_of(&mut item);
-                    *at += *offset;
-                    assert!(
-                        *at >= self.last_ms,
-                        "ConcatSource part {} broke time order: event at {} ms \
-                         after {} ms (its span overruns the next part's offset)",
-                        self.current,
-                        *at,
-                        self.last_ms,
-                    );
-                    self.last_ms = *at;
-                    return Some(item);
+            match source.next_event() {
+                Some(mut event) => {
+                    event.at_ms += *offset;
+                    self.last_ms =
+                        check_order(self.current, self.last_ms, event.at_ms, event.at_ms);
+                    return Some(event);
                 }
                 None => self.current += 1,
             }
         }
         None
     }
-}
 
-impl<S: TraceSource> TraceSource for ConcatSource<S> {
-    fn next_event(&mut self) -> Option<TraceEvent> {
-        self.advance(S::next_event, |event| &mut event.at_ms)
-    }
-
-    fn skip_event(&mut self) -> Option<u64> {
-        self.advance(S::skip_event, |at_ms| at_ms)
+    /// Forwards the run part by part, shifting each part's share onto
+    /// the global clock and checking it as one run.
+    fn skip_events(&mut self, n: usize) -> Option<SkippedRun> {
+        let mut run: Option<SkippedRun> = None;
+        while let Some((offset, source)) = self.parts.get_mut(self.current) {
+            let left = n - run.map_or(0, |run| run.count);
+            if left == 0 {
+                break;
+            }
+            let Some(part) = source.skip_events(left) else {
+                self.current += 1;
+                continue;
+            };
+            let part = SkippedRun {
+                first_ms: part.first_ms + *offset,
+                last_ms: part.last_ms + *offset,
+                ..part
+            };
+            self.last_ms = check_order(self.current, self.last_ms, part.first_ms, part.last_ms);
+            run = Some(run.map_or(part, |run| run.then(part)));
+        }
+        run
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1134,7 +1196,45 @@ mod tests {
     fn concat_rejects_a_skipped_event_out_of_order() {
         let trace = InvocationTrace::poisson(suite::benchmarks(), 60.0, 2_000, 12).unwrap();
         let mut source = overrunning_concat(&trace);
-        while source.skip_event().is_some() {}
+        while source.skip_events(1).is_some() {}
+    }
+
+    /// The overrun falls inside one bulk-skipped run: its first event is
+    /// part 0's last, its second part 1's first.
+    #[test]
+    #[should_panic(expected = "broke time order")]
+    fn concat_rejects_an_overrun_inside_a_skipped_run() {
+        let trace = InvocationTrace::poisson(suite::benchmarks(), 60.0, 2_000, 12).unwrap();
+        let mut source = overrunning_concat(&trace);
+        let before = source.skip_events(trace.len() - 1).unwrap();
+        assert_eq!(before.count, trace.len() - 1, "part 0 alone is in order");
+        source.skip_events(2);
+    }
+
+    #[test]
+    fn skipped_runs_walk_the_pulled_times() {
+        let trace = InvocationTrace::poisson(suite::benchmarks(), 60.0, 2_000, 12).unwrap();
+        let span = trace.events().last().unwrap().at_ms + 1;
+        let concat =
+            || ConcatSource::new(vec![(0, trace.source()), (span, trace.source())]).unwrap();
+        let mut pulled = concat();
+        let times: Vec<u64> = std::iter::from_fn(|| pulled.next_event().map(|e| e.at_ms)).collect();
+        assert_eq!(times.len(), 2 * trace.len());
+        for len in [1, 2, 7, trace.len(), times.len() + 3] {
+            let mut source = concat();
+            let mut at = 0;
+            while let Some(run) = source.skip_events(len) {
+                assert_eq!(run.count, len.min(times.len() - at));
+                assert_eq!(
+                    (run.first_ms, run.last_ms),
+                    (times[at], times[at + run.count - 1])
+                );
+                at += run.count;
+                assert_eq!(source.size_hint().0, times.len() - at);
+            }
+            assert_eq!(at, times.len(), "runs of {len}");
+        }
+        assert_eq!(concat().skip_events(0), None);
     }
 
     #[test]

@@ -265,6 +265,69 @@ fn coupling(spec: &MachineSpec, snapshot: &CongestionSnapshot) -> f64 {
     1.0 + spec.private_coupling * couple_metric
 }
 
+/// One pass of `Simulator::advance`'s loop through a slot's phase: the
+/// instructions the slot executes in `cycles` at the CPI of `terms`
+/// under `snapshot` — at most the phase's `remaining` ones — and what
+/// they cost. Stepping and the bulk advance (rule 9) both charge through
+/// it, so they charge the same bits.
+#[derive(Debug, Clone, Copy)]
+struct Pass {
+    instructions: f64,
+    cycles: f64,
+    stall_cycles: f64,
+    l2_misses: f64,
+    l3_misses: f64,
+    /// The cycles the pass leaves for the next one.
+    cycles_left: f64,
+}
+
+impl Pass {
+    fn new(
+        model: &ContentionModel,
+        snapshot: &CongestionSnapshot,
+        terms: &SlotTerms,
+        couple: f64,
+        cycles: f64,
+        remaining: f64,
+    ) -> Self {
+        let private = terms.private_base * couple;
+        let stall = terms.stall_base * model.post_l2_latency(snapshot, terms.miss);
+        let cpi = private + stall;
+        let executed = (cycles / cpi).min(remaining);
+        let used_cycles = executed * cpi;
+        let l2_misses = executed * terms.mpki / 1000.0;
+        Pass {
+            instructions: executed,
+            cycles: used_cycles,
+            stall_cycles: executed * stall,
+            l2_misses,
+            l3_misses: l2_misses * terms.miss,
+            cycles_left: cycles - used_cycles,
+        }
+    }
+
+    /// Whether the pass ends a phase that had `remaining` instructions
+    /// left.
+    fn ends_phase(&self, remaining: f64) -> bool {
+        self.instructions >= remaining - 1e-6
+    }
+
+    /// Adds the pass to a context's counters.
+    fn charge(&self, counters: &mut PmuCounters) {
+        counters.instructions += self.instructions;
+        counters.cycles += self.cycles;
+        counters.stall_l2_cycles += self.stall_cycles;
+        counters.l2_misses += self.l2_misses;
+        counters.l3_misses += self.l3_misses;
+    }
+}
+
+/// Whether `cycles` of a quantum are enough for another pass of
+/// `Simulator::advance`'s loop.
+fn cycles_remain(cycles: f64) -> bool {
+    cycles > 1e-9
+}
+
 /// The bits of everything a lone domain's solve reads besides the
 /// machine spec: the quantum's cycles, the domain's capacity pressure,
 /// the five fields of the starting snapshot that round 0 reads, and the
@@ -439,6 +502,23 @@ struct Scratch {
     /// The snapshots lone domains solved to, keyed by everything their
     /// solve read (rule 8).
     lone: LoneMemo,
+    /// What each slot of a stable plan adds per quantum, in plan order
+    /// (rule 9).
+    stable_slots: Vec<StableSlot>,
+}
+
+/// What one slot of a stable plan adds per quantum: the one [`Pass`]
+/// of `advance` that spends the slot's whole quantum in its phase,
+/// computed once by [`Simulator::advance_stable`].
+#[derive(Debug, Clone, Copy)]
+struct StableSlot {
+    ctx: usize,
+    pass: Pass,
+    /// The length of the slot's phase, instructions.
+    phase_instructions: f64,
+    /// The domain snapshot's L3 miss rate, which a pending startup
+    /// window sums.
+    l3_miss_rate: f64,
 }
 
 /// The quantum-stepped machine simulator.
@@ -482,8 +562,15 @@ pub struct Simulator {
     idle_settled: bool,
     /// What changed since the previous quantum (see [`Change`]).
     changed: Change,
+    /// Whether the most recent quantum reused its solve and changed
+    /// nothing, so that its plan holds until a phase ends (rule 9), and
+    /// no bulk advance since found the next quantum ending a phase or
+    /// the plan unfit to advance in bulk.
+    stable: bool,
     /// Quanta that ran the congestion fixed point.
     solves: u64,
+    /// Quanta [`Simulator::advance_stable`] advanced.
+    bulk_quanta: u64,
     scratch: Scratch,
     /// Take the straightforward form of each rule of [`Simulator::step`]
     /// that has a faster one: the joint fixed point over every domain
@@ -528,7 +615,9 @@ impl Simulator {
             last_snapshots,
             idle_settled: false,
             changed: Change::default(),
+            stable: false,
             solves: 0,
+            bulk_quanta: 0,
             scratch: Scratch::default(),
             #[cfg(test)]
             reference: false,
@@ -578,6 +667,14 @@ impl Simulator {
     /// steps give the same count on every host.
     pub fn congestion_solves(&self) -> u64 {
         self.solves
+    }
+
+    /// Quanta that [`Simulator::advance_stable`] advanced in bulk rather
+    /// than [`Simulator::step`] one at a time (rule 9 of `step`). A
+    /// sim-clock count, like [`Simulator::congestion_solves`]; bulk
+    /// quanta never solve.
+    pub fn bulk_quanta(&self) -> u64 {
+        self.bulk_quanta
     }
 
     /// Launches a workload without per-quantum sampling.
@@ -749,6 +846,13 @@ impl Simulator {
     ///    and allocates at its first store. Domains running two or more
     ///    contexts are not looked up: time-shared plans rotate, and their
     ///    solves rarely repeat.
+    /// 9. A quantum that reused the solve (rule 3) and changed nothing
+    ///    (no phase ended, nothing completed) leaves a stable plan:
+    ///    every active context ran, so the run queue, the plan and the
+    ///    snapshots stay as they are, and every later quantum reuses the
+    ///    solve and charges each slot the same amounts, until a launch or
+    ///    a phase end. [`Simulator::advance_stable`] then advances many
+    ///    such quanta in one call.
     ///
     /// [`Simulator::congestion_solves`] counts the quanta that solved.
     pub fn step(&mut self) -> Vec<Event> {
@@ -764,6 +868,8 @@ impl Simulator {
         let reuse = changed == Change::Unchanged
             && scratch.settled
             && same_plan(&scratch.slots, &scratch.prev_slots);
+        // Final once the quantum is known to have changed nothing.
+        self.stable = reuse;
         if !reuse {
             let solved = self.solve_congestion(cycles_q);
             let scratch = &mut self.scratch;
@@ -822,10 +928,151 @@ impl Simulator {
             self.active.retain(|&idx| contexts[idx].is_active());
             self.changed = Change::ActiveSet;
         }
+        self.stable &= self.changed == Change::Unchanged;
         let scratch = &mut self.scratch;
         self.idle_settled = scratch.slots.is_empty();
         std::mem::swap(&mut scratch.slots, &mut scratch.prev_slots);
         events
+    }
+
+    /// Advances up to `until_ms` while the plan is stable (rule 9 of
+    /// [`Simulator::step`]), in one call, exactly as stepping quantum by
+    /// quantum would, and returns how many quanta it advanced.
+    ///
+    /// It computes once what the stable plan holds constant: per slot,
+    /// the CPI and the instructions, cycles, stall cycles and L2 and L3
+    /// misses it charges, and the quantum's machine L3 sum, added in slot
+    /// order. Each quantum then makes only the additions a step makes,
+    /// in the same order: the counters, the progress into the phase, a
+    /// pending startup window's sums and the machine's L3 misses. The run
+    /// stamps are set once, at the end; the plan and the run queue do not
+    /// change. It stops before the first quantum in which some slot's
+    /// phase would end, so it never completes anything and returns no
+    /// events.
+    ///
+    /// It advances nothing and returns 0 when the last quantum did not
+    /// leave a stable plan or something launched since, when a slot's
+    /// quantum would not fit in one pass of its phase's arithmetic (the
+    /// cycles left after charging the CPI exceed `1e-9`), and when a
+    /// context in the plan is sampled, whose samples only `step` records.
+    /// A call that stops short of `until_ms` for one of these reasons, or
+    /// before a phase end, leaves the rest to [`Simulator::step`]: later
+    /// calls return 0 until a step leaves a stable plan again. One that
+    /// reaches `until_ms` leaves the plan stable, so a later call with a
+    /// later horizon goes on from there.
+    ///
+    /// # Cost
+    ///
+    /// O(slots) to set up, then O(slots) additions per quantum advanced,
+    /// with no heap allocation once its buffer has grown to the largest
+    /// plan seen. The checks run inline, so a caller that asks after
+    /// every step pays little for the quanta that are not stable.
+    #[inline]
+    pub fn advance_stable(&mut self, until_ms: u64) -> u64 {
+        let most = until_ms.saturating_sub(self.now_ms);
+        if most == 0 || !self.stable || self.changed != Change::Unchanged {
+            return 0;
+        }
+        let quanta = self.advance_stable_plan(most);
+        // Short of the horizon, the next quantum ends a phase, or the
+        // plan cannot be advanced in bulk at all: only a step moves on.
+        self.stable = quanta == most;
+        quanta
+    }
+
+    /// The bulk advance of a stable plan by up to `most` quanta (see
+    /// [`Simulator::advance_stable`]).
+    fn advance_stable_plan(&mut self, most: u64) -> u64 {
+        #[cfg(test)]
+        if self.reference {
+            return 0;
+        }
+        let Simulator {
+            spec,
+            model,
+            governor,
+            contexts,
+            last_snapshots,
+            scratch,
+            ..
+        } = self;
+        // The stable quantum's plan, and the terms of the solve it reused.
+        let plan = &scratch.prev_slots;
+        if plan.iter().any(|slot| contexts[slot.ctx].sampling) {
+            return 0;
+        }
+        let freq = governor.frequency_ghz(plan.len(), spec.hardware_threads());
+        let cycles_q = spec.cycles_per_quantum(freq);
+        let stable = &mut scratch.stable_slots;
+        stable.clear();
+        let mut machine_l3 = 0.0;
+        for (slot, terms) in plan.iter().zip(&scratch.terms) {
+            // `advance`'s first pass through the phase in the next
+            // quantum, as it computes it.
+            let ctx = &contexts[slot.ctx];
+            let snapshot = &last_snapshots[slot.domain];
+            let phase_instructions = ctx.profile.phases()[ctx.phase_idx].instructions;
+            let pass = Pass::new(
+                model,
+                snapshot,
+                terms,
+                coupling(spec, snapshot),
+                cycles_q,
+                phase_instructions - ctx.instr_into_phase,
+            );
+            if cycles_remain(pass.cycles_left) {
+                return 0;
+            }
+            // `advance` sums the slot's quantum from 0 before adding it
+            // to the machine's.
+            let quantum_l3 = 0.0 + pass.l3_misses;
+            machine_l3 += quantum_l3;
+            stable.push(StableSlot {
+                ctx: slot.ctx,
+                pass,
+                phase_instructions,
+                l3_miss_rate: snapshot.l3_miss_rate,
+            });
+        }
+        // The quanta before the first in which some slot's pass would
+        // end its phase. A pass that does not end it was not cut short
+        // by the phase's remaining instructions, so it charges the same
+        // in each of those quanta.
+        let mut quanta = most;
+        for slot in stable.iter() {
+            let mut into_phase = contexts[slot.ctx].instr_into_phase;
+            let mut fit = 0;
+            while fit < quanta && !slot.pass.ends_phase(slot.phase_instructions - into_phase) {
+                into_phase += slot.pass.instructions;
+                fit += 1;
+            }
+            quanta = fit;
+        }
+        if quanta == 0 {
+            return 0;
+        }
+        for slot in stable.iter() {
+            let ctx = &mut contexts[slot.ctx];
+            for _ in 0..quanta {
+                slot.pass.charge(&mut ctx.counters);
+                ctx.instr_into_phase += slot.pass.instructions;
+            }
+            if ctx.startup_pending {
+                ctx.startup_quanta += quanta;
+                for _ in 0..quanta {
+                    ctx.startup_l3_rate_sum += slot.l3_miss_rate;
+                }
+            }
+        }
+        for _ in 0..quanta {
+            self.machine_l3_misses += machine_l3;
+        }
+        self.now_ms += quanta;
+        for slot in plan {
+            contexts[slot.ctx].last_run_ms = self.now_ms;
+        }
+        self.bulk_quanta += quanta;
+        quanta
     }
 
     /// Drops every reused intermediate, so that the next step rebuilds
@@ -1285,7 +1532,7 @@ impl Simulator {
             }
         }
 
-        while cycles_left > 1e-9 {
+        while cycles_remain(cycles_left) {
             let (phase, phase_idx, instr_into_phase, profile_len, startup_len) = {
                 let ctx = &self.contexts[slot.ctx];
                 (
@@ -1306,31 +1553,24 @@ impl Simulator {
                     snapshot.capacity_pressure,
                 );
             }
-            let miss = terms.miss;
-            let private = terms.private_base * couple;
-            let stall = terms.stall_base * self.model.post_l2_latency(snapshot, miss);
-            let cpi = private + stall;
-
             let remaining = phase.instructions - instr_into_phase;
-            let possible = cycles_left / cpi;
-            let executed = possible.min(remaining);
-            let used_cycles = executed * cpi;
-            cycles_left -= used_cycles;
-
-            let l2m = executed * terms.mpki / 1000.0;
-            let l3m = l2m * miss;
-            quantum_instr += executed;
-            quantum_cycles += used_cycles;
-            quantum_l3 += l3m;
+            let pass = Pass::new(
+                &self.model,
+                snapshot,
+                &terms,
+                couple,
+                cycles_left,
+                remaining,
+            );
+            cycles_left = pass.cycles_left;
+            quantum_instr += pass.instructions;
+            quantum_cycles += pass.cycles;
+            quantum_l3 += pass.l3_misses;
 
             let ctx = &mut self.contexts[slot.ctx];
-            ctx.counters.instructions += executed;
-            ctx.counters.cycles += used_cycles;
-            ctx.counters.stall_l2_cycles += executed * stall;
-            ctx.counters.l2_misses += l2m;
-            ctx.counters.l3_misses += l3m;
+            pass.charge(&mut ctx.counters);
 
-            if executed >= remaining - 1e-6 {
+            if pass.ends_phase(remaining) {
                 ctx.phase_idx = phase_idx + 1;
                 ctx.instr_into_phase = 0.0;
                 self.changed = self.changed.max(Change::Phase);
@@ -1363,7 +1603,7 @@ impl Simulator {
                     snapshot.capacity_pressure,
                 );
             } else {
-                ctx.instr_into_phase = instr_into_phase + executed;
+                ctx.instr_into_phase = instr_into_phase + pass.instructions;
             }
         }
 
@@ -1818,6 +2058,94 @@ mod tests {
         assert_eq!(memo.scratch.lone.hits, 1);
     }
 
+    /// A startup phase of `startup` instructions, then a long body.
+    fn two_phase_profile(startup: f64) -> ExecutionProfile {
+        ExecutionProfile::builder("two-phase")
+            .startup_phase(ExecPhase::new(startup, 0.6, 10.0, 0.5, 0.8, 24.0))
+            .phase(ExecPhase::new(1e9, 0.7, 5.0, 0.4, 0.6, 24.0))
+            .build()
+            .unwrap()
+    }
+
+    /// Steps `sim` until a quantum leaves a stable plan (rule 9).
+    fn step_until_stable(sim: &mut Simulator) {
+        for _ in 0..100 {
+            sim.step();
+            if sim.stable {
+                return;
+            }
+        }
+        panic!("no stable plan within 100 quanta");
+    }
+
+    /// The bulk advance declines, advancing nothing, in each case where
+    /// the next quantum would not repeat the last one's charges, or
+    /// would record what it does not: right after a launch, after a
+    /// phase change, after a solve that did not settle, with a sampled
+    /// context in the plan, and under `reference`. Once the plan is
+    /// stable it advances, up to the horizon or to the quantum before
+    /// the phase ends.
+    #[test]
+    fn the_bulk_advance_declines_unless_the_plan_is_stable() {
+        let mut sim = sim();
+        sim.launch(two_phase_profile(2e7), Placement::pinned(0))
+            .unwrap();
+        assert_eq!(sim.advance_stable(100), 0, "right after a launch");
+        sim.step();
+        assert!(!sim.scratch.settled);
+        assert_eq!(
+            sim.advance_stable(100),
+            0,
+            "after a solve that did not settle"
+        );
+        step_until_stable(&mut sim);
+        assert_eq!(sim.contexts[0].phase_idx, 0);
+        let now = sim.now_ms();
+        assert_eq!(sim.advance_stable(now + 1), 1, "up to the horizon");
+        assert_eq!(sim.advance_stable(now + 1), 0, "at the horizon");
+        let advanced = sim.advance_stable(now + 100);
+        assert!(advanced > 0 && sim.now_ms() < now + 100, "to the phase end");
+        assert!(sim.step().is_empty());
+        assert_eq!(
+            sim.contexts[0].phase_idx, 1,
+            "the next quantum ends the phase"
+        );
+        assert_eq!(
+            sim.advance_stable(sim.now_ms() + 100),
+            0,
+            "after a phase change"
+        );
+        step_until_stable(&mut sim);
+        sim.launch(two_phase_profile(2e7), Placement::pinned(1))
+            .unwrap();
+        assert_eq!(
+            sim.advance_stable(sim.now_ms() + 100),
+            0,
+            "right after a launch"
+        );
+        assert_eq!(sim.bulk_quanta(), 1 + advanced);
+
+        // A sampled context in the plan, and the reference switch, each
+        // decline a plan that is otherwise stable.
+        for (sampled, reference) in [(true, false), (false, true), (false, false)] {
+            let mut sim = self::sim();
+            sim.reference = reference;
+            let profile = two_phase_profile(2e7);
+            if sampled {
+                sim.launch_sampled(profile, Placement::pinned(0)).unwrap();
+            } else {
+                sim.launch(profile, Placement::pinned(0)).unwrap();
+            }
+            step_until_stable(&mut sim);
+            let advanced = sim.advance_stable(sim.now_ms() + 100);
+            assert_eq!(
+                advanced > 0,
+                !sampled && !reference,
+                "sampled {sampled}, reference {reference}"
+            );
+        }
+    }
+
     /// `spec` with two-way SMT, so that stepping pairs SMT siblings.
     fn with_smt(mut spec: MachineSpec) -> MachineSpec {
         spec.smt_ways = 2;
@@ -2004,6 +2332,94 @@ mod tests {
         check_runqueue(fresh)
     }
 
+    /// Every bit of a context's state that a quantum writes: the
+    /// counters, the progress through the profile, the run stamp, the
+    /// startup window and its report, the samples and the completion
+    /// time.
+    fn context_bits(ctx: &Context) -> Vec<u64> {
+        let counters = |c: &PmuCounters| {
+            [
+                c.cycles,
+                c.instructions,
+                c.stall_l2_cycles,
+                c.l2_misses,
+                c.l3_misses,
+                c.context_switches,
+            ]
+            .map(f64::to_bits)
+        };
+        let mut bits = counters(&ctx.counters).to_vec();
+        bits.extend([
+            ctx.phase_idx as u64,
+            ctx.instr_into_phase.to_bits(),
+            ctx.last_run_ms,
+            u64::from(ctx.has_run),
+            u64::from(ctx.startup_pending),
+            ctx.startup_quanta,
+            ctx.startup_l3_rate_sum.to_bits(),
+            ctx.completed_ms.map_or(u64::MAX, f64::to_bits),
+        ]);
+        if let Some(report) = &ctx.startup_report {
+            bits.extend(counters(&report.counters));
+            bits.extend([report.wall_ms, report.machine_l3_miss_rate].map(f64::to_bits));
+        }
+        for sample in &ctx.samples {
+            bits.push(sample.time_ms);
+            bits.extend([sample.instructions, sample.cycles, sample.l3_misses].map(f64::to_bits));
+        }
+        bits
+    }
+
+    /// Checks that two simulators agree bit for bit: clock, machine L3
+    /// total, snapshots, run queue and every context.
+    fn same_state(a: &Simulator, b: &Simulator) -> std::result::Result<(), TestCaseError> {
+        prop_assert_eq!(a.now_ms(), b.now_ms());
+        prop_assert_eq!(
+            a.machine_l3_misses().to_bits(),
+            b.machine_l3_misses().to_bits()
+        );
+        for (x, y) in a.last_snapshots.iter().zip(&b.last_snapshots) {
+            prop_assert!(same_snapshot(x, y), "snapshots diverged: {x:?} vs {y:?}");
+        }
+        prop_assert_eq!(&a.runqueue, &b.runqueue);
+        prop_assert_eq!(a.contexts.len(), b.contexts.len());
+        for (idx, (x, y)) in a.contexts.iter().zip(&b.contexts).enumerate() {
+            prop_assert!(
+                context_bits(x) == context_bits(y),
+                "context {idx} diverged: {x:?} vs {y:?}"
+            );
+        }
+        Ok(())
+    }
+
+    /// Steps `bulk` once and then advances it in bulk up to `horizon`
+    /// quanta past its clock; steps `stepped` as many quanta one at a
+    /// time. The quanta the advance covers must return no events, and
+    /// both must end in the same state. Returns the quanta advanced.
+    fn step_then_advance(
+        bulk: &mut Simulator,
+        stepped: &mut Simulator,
+        horizon: u64,
+    ) -> std::result::Result<u64, TestCaseError> {
+        let bits = |events: Vec<Event>| -> Vec<(usize, u64)> {
+            events
+                .into_iter()
+                .map(|Event::Completed { id, at_ms }| (id.0, at_ms.to_bits()))
+                .collect()
+        };
+        prop_assert_eq!(bits(bulk.step()), bits(stepped.step()));
+        let advanced = bulk.advance_stable(bulk.now_ms() + horizon);
+        prop_assert!(advanced <= horizon);
+        for _ in 0..advanced {
+            prop_assert!(
+                stepped.step().is_empty(),
+                "a bulk quantum completed something"
+            );
+        }
+        same_state(bulk, stepped)?;
+        Ok(advanced)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -2060,6 +2476,49 @@ mod tests {
             }
             prop_assert_eq!(fresh.congestion_solves(), quanta);
             prop_assert!(reusing.congestion_solves() <= quanta);
+        }
+
+        /// The bulk advance is exact: over the schedules above, a
+        /// simulator that advances every stable plan in bulk, up to a
+        /// random horizon after each step, ends every step and every
+        /// advance in the state of one that steps each quantum, and
+        /// neither solves more.
+        #[test]
+        fn bulk_advance_equals_stepping_quantum_by_quantum(
+            rounds in arb_rounds(),
+            spec in arb_spec(),
+            horizons in prop::collection::vec(0u64..40, 1..16),
+        ) {
+            let mut bulk = Simulator::new(spec.clone());
+            let mut stepped = Simulator::new(spec);
+            let mut horizon = horizons.iter().cycle();
+            let mut advanced = 0;
+            let mut quanta = 0u64;
+            for (launches, steps) in rounds {
+                for (profile, placement, sampled) in launches {
+                    for sim in [&mut bulk, &mut stepped] {
+                        if sampled {
+                            sim.launch_sampled(profile.clone(), placement.clone()).unwrap();
+                        } else {
+                            sim.launch(profile.clone(), placement.clone()).unwrap();
+                        }
+                    }
+                }
+                for _ in 0..steps {
+                    let horizon = *horizon.next().unwrap();
+                    advanced += step_then_advance(&mut bulk, &mut stepped, horizon)?;
+                    quanta += 1;
+                }
+            }
+            while bulk.active_instances() > 0 || stepped.active_instances() > 0 {
+                prop_assert!(quanta < 100_000, "short profiles must drain");
+                let horizon = *horizon.next().unwrap();
+                advanced += step_then_advance(&mut bulk, &mut stepped, horizon)?;
+                quanta += 1;
+            }
+            prop_assert_eq!(bulk.bulk_quanta(), advanced);
+            prop_assert_eq!(stepped.bulk_quanta(), 0);
+            prop_assert_eq!(bulk.congestion_solves(), stepped.congestion_solves());
         }
 
         /// A lone schedule replayed after idle quanta walks the solves it

@@ -109,9 +109,28 @@
 //!    time, which is what hits. Domains running two or more contexts
 //!    are not looked up: time-shared plans rotate, and their solves
 //!    rarely repeat.
+//! 9. **Stable-plan bulk advance.** A quantum that reused the solve
+//!    (rule 3) and changed nothing — no phase ended, nothing completed
+//!    — had every active context running, so the run queue, the plan
+//!    and the snapshots stay put, and each later quantum charges every
+//!    slot the same amounts until a launch or a phase end.
+//!    [`Simulator::advance_stable`] computes those amounts once per
+//!    slot (CPI, instructions, cycles, stall cycles, L2 and L3 misses),
+//!    through the same one-pass charge and phase-end test that a step
+//!    uses, with the quantum's machine L3 sum, then makes per quantum
+//!    only the additions a step makes, in the same order, and stops
+//!    before the first quantum in which a phase would end. It declines,
+//!    advancing nothing, when the last quantum did not leave the plan
+//!    stable or something launched since, when a slot's quantum would
+//!    need a second pass of the phase arithmetic, and when a context in
+//!    the plan is sampled. A serving machine calls it between steps, so
+//!    on a quiet fleet most quanta of a lone function's body cost a few
+//!    additions instead of a step.
 //!
 //! [`Simulator::congestion_solves`] counts the quanta that still ran
 //! the fixed point in some domain; a memo hit is not a solve.
+//! [`Simulator::bulk_quanta`] counts the quanta advanced in bulk, which
+//! never solve.
 //!
 //! # Examples
 //!

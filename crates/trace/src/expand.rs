@@ -28,18 +28,23 @@
 //!   bodies stand in for wall-clock durations — what's preserved is
 //!   each function's duration *spread*, mapped onto the pool's spread.
 //!
-//! A minute expands into compact arrival keys — time, tenant, and which
-//! function and body — sorted into the canonical `(at_ms, tenant)`
-//! order. The [`TraceEvent`], with its own copy of the body, is built
-//! only when [`TraceSource::next_event`] hands it out, and
-//! [`TraceSource::skip_event`] passes an arrival without building it.
-//! A [`crate::TraceTransform::ScaleRate`] ahead of any window skips the
-//! events it drops, so a thinned replay pays for placing every arrival
-//! but builds only the events it keeps.
+//! A minute expands into compact arrival keys — time, tenant and
+//! expansion order — sorted into the canonical `(at_ms, tenant)` order,
+//! beside a reference to each arrival's function and body. The
+//! [`TraceEvent`], with its own copy of the body, is built only when
+//! [`TraceSource::next_event`] hands it out, and
+//! [`TraceSource::skip_events`] passes a run of arrivals without
+//! building them. A
+//! [`crate::TraceTransform::ScaleRate`] ahead of any window skips each
+//! run of events it drops in one call, so a thinned replay pays for
+//! placing and sorting every arrival but builds only the events it
+//! keeps.
 
 use std::collections::BTreeMap;
 
-use litmus_platform::{ConcatSource, InvocationTrace, TenantId, TraceEvent, TraceSource};
+use litmus_platform::{
+    ConcatSource, InvocationTrace, SkippedRun, TenantId, TraceEvent, TraceSource,
+};
 use litmus_workloads::suite::{self, TenantClass};
 use litmus_workloads::Benchmark;
 use rand::rngs::StdRng;
@@ -161,17 +166,23 @@ struct FunctionPlan {
     pool: Vec<Benchmark>,
 }
 
-/// One expanded arrival before its [`TraceEvent`] is built: the sort
-/// key plus where to find its body. Fields compare in declaration
-/// order, and `order` (the position in expansion order) is unique
-/// within a minute, so an unstable sort of arrivals equals a stable
-/// sort by `(at_ms, tenant)`.
+/// One expanded arrival's sort key: its time, its tenant, and its
+/// position in expansion order. Fields compare in declaration order,
+/// and `order` is unique within a minute, so a minute's keys are
+/// distinct and any correct sort of them gives the stable sort by
+/// `(at_ms, tenant)`. `order` also indexes the minute's bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Arrival {
+struct ArrivalKey {
     at_ms: u64,
     tenant: TenantId,
-    order: usize,
-    plan: usize,
+    order: u32,
+}
+
+/// Where one arrival's body is: its function's plan, and the body's
+/// index in the plan's pool.
+#[derive(Debug, Clone, Copy)]
+struct BodyRef {
+    plan: u32,
     pool: u32,
 }
 
@@ -181,9 +192,15 @@ struct Arrival {
 /// canonical `(at_ms, tenant)` order — so streaming is bit-identical
 /// to materializing via [`AzureDataset::expand`] at the same seed.
 ///
-/// Only the current minute's sorted arrival keys are buffered:
-/// [`TraceSource::next_event`] builds each event as it hands it out,
-/// and [`TraceSource::skip_event`] passes one without building it.
+/// Only the current minute is buffered, as compact arrival keys
+/// (time, tenant, expansion order: 16 bytes) beside each arrival's body
+/// reference, indexed by that order; the keys alone are sorted, with
+/// `sort_unstable`. [`TraceSource::next_event`] looks up an arrival's
+/// body and builds its event only as it hands it out, and
+/// [`TraceSource::skip_events`] passes a run without building it by
+/// moving the cursor, expanding later minutes as the run reaches them.
+/// The buffers are released once the source is exhausted, so a chain
+/// of days holds only the current day's.
 #[derive(Debug, Clone)]
 pub struct AzureReplaySource {
     plans: Vec<FunctionPlan>,
@@ -193,7 +210,10 @@ pub struct AzureReplaySource {
     minute_ms: u64,
     minutes: usize,
     next_minute: usize,
-    arrivals: Vec<Arrival>,
+    /// The current minute's keys, sorted.
+    keys: Vec<ArrivalKey>,
+    /// The current minute's bodies, by expansion order.
+    bodies: Vec<BodyRef>,
     cursor: usize,
     remaining: usize,
 }
@@ -343,6 +363,22 @@ impl AzureReplaySource {
             pool_by_class.insert(class, pool);
         }
 
+        // Arrival keys number a minute's arrivals, and body references
+        // the plans, in 32 bits.
+        let mut per_minute = vec![0u64; dataset.minutes()];
+        for function in dataset.functions() {
+            for (total, &count) in per_minute.iter_mut().zip(&function.counts) {
+                *total += u64::from(count);
+            }
+        }
+        if u32::try_from(dataset.functions().len()).is_err()
+            || per_minute.iter().any(|&total| total > u64::from(u32::MAX))
+        {
+            return Err(TraceError::InvalidConfig(
+                "a minute holds 2^32 or more arrivals, or the day as many functions",
+            ));
+        }
+
         // Plans in the dataset's canonical key order: expansion order
         // (and therefore tie-breaking among same-millisecond arrivals)
         // is canonical, not file order.
@@ -370,7 +406,8 @@ impl AzureReplaySource {
             minute_ms: config.minute_ms,
             minutes: dataset.minutes(),
             next_minute: 0,
-            arrivals: Vec::new(),
+            keys: Vec::new(),
+            bodies: Vec::new(),
             cursor: 0,
             remaining,
         })
@@ -388,8 +425,10 @@ impl AzureReplaySource {
         self.minutes as u64 * self.minute_ms
     }
 
+    /// Expands `minute` into its sorted keys and its bodies.
     fn expand_minute(&mut self, minute: usize) {
-        self.arrivals.clear();
+        self.keys.clear();
+        self.bodies.clear();
         self.cursor = 0;
         let base = minute as u64 * self.minute_ms;
         for (plan_idx, plan) in self.plans.iter().enumerate() {
@@ -412,47 +451,73 @@ impl AzureReplaySource {
                 // picks the body from the duration-sorted pool.
                 let q: f64 = rng.gen_range(0.0..1.0);
                 let pool_idx = ((q * plan.pool.len() as f64) as usize).min(plan.pool.len() - 1);
-                self.arrivals.push(Arrival {
+                // `with_tenants` checked that the minute's arrivals and
+                // the plans fit in 32 bits; a pool holds a few bodies.
+                self.keys.push(ArrivalKey {
                     at_ms: base + offset_ms.min(self.minute_ms - 1),
                     tenant: plan.tenant,
-                    order: self.arrivals.len(),
-                    plan: plan_idx,
+                    order: self.bodies.len() as u32,
+                });
+                self.bodies.push(BodyRef {
+                    plan: plan_idx as u32,
                     pool: pool_idx as u32,
                 });
             }
         }
-        self.arrivals.sort_unstable();
+        self.keys.sort_unstable();
     }
 
-    /// Consumes the next arrival, expanding minutes until one has any.
-    fn next_arrival(&mut self) -> Option<Arrival> {
-        while self.cursor >= self.arrivals.len() {
+    /// Expands minutes until the current one has an arrival left.
+    /// Returns false once the trace is exhausted, and then releases the
+    /// buffers.
+    fn fill(&mut self) -> bool {
+        while self.cursor >= self.keys.len() {
             if self.next_minute >= self.minutes {
-                return None;
+                self.keys = Vec::new();
+                self.bodies = Vec::new();
+                self.cursor = 0;
+                return false;
             }
             let minute = self.next_minute;
             self.next_minute += 1;
             self.expand_minute(minute);
         }
-        let arrival = self.arrivals[self.cursor];
-        self.cursor += 1;
-        self.remaining -= 1;
-        Some(arrival)
+        true
     }
 }
 
 impl TraceSource for AzureReplaySource {
     fn next_event(&mut self) -> Option<TraceEvent> {
-        let arrival = self.next_arrival()?;
+        if !self.fill() {
+            return None;
+        }
+        let key = self.keys[self.cursor];
+        self.cursor += 1;
+        self.remaining -= 1;
+        let body = self.bodies[key.order as usize];
         Some(TraceEvent {
-            at_ms: arrival.at_ms,
-            function: self.plans[arrival.plan].pool[arrival.pool as usize].clone(),
-            tenant: arrival.tenant,
+            at_ms: key.at_ms,
+            function: self.plans[body.plan as usize].pool[body.pool as usize].clone(),
+            tenant: key.tenant,
         })
     }
 
-    fn skip_event(&mut self) -> Option<u64> {
-        self.next_arrival().map(|arrival| arrival.at_ms)
+    fn skip_events(&mut self, n: usize) -> Option<SkippedRun> {
+        let mut run: Option<SkippedRun> = None;
+        let mut left = n;
+        while left > 0 && self.fill() {
+            let take = left.min(self.keys.len() - self.cursor);
+            let part = SkippedRun {
+                count: take,
+                first_ms: self.keys[self.cursor].at_ms,
+                last_ms: self.keys[self.cursor + take - 1].at_ms,
+            };
+            self.cursor += take;
+            self.remaining -= take;
+            left -= take;
+            run = Some(run.map_or(part, |run| run.then(part)));
+        }
+        run
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -492,49 +557,100 @@ mod tests {
         ExpandConfig::new(7).minute_ms(400)
     }
 
-    /// Walks `source` to its end, skipping when `skip` says so and
-    /// pulling otherwise, and returns every arrival time in order.
-    /// `size_hint` must stay exact at every step.
-    fn walk(mut source: impl TraceSource, mut skip: impl FnMut() -> bool) -> Vec<u64> {
-        let mut times = Vec::new();
-        loop {
+    /// How `walk` passes the next events.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Pull,
+        Run(usize),
+    }
+
+    /// Every arrival time of `source`, pulled one event at a time.
+    fn pulled_times(mut source: impl TraceSource) -> Vec<u64> {
+        std::iter::from_fn(|| source.next_event().map(|event| event.at_ms)).collect()
+    }
+
+    /// Walks `source` to its end, passing events as `steps` says, and
+    /// checks what it passes against `expected`, every arrival time in
+    /// order: an event by its time, a run by its count and its first and
+    /// last times. `size_hint` must stay exact at every step. Returns
+    /// each run's first and last time.
+    fn walk(
+        mut source: impl TraceSource,
+        steps: impl IntoIterator<Item = Step>,
+        expected: &[u64],
+    ) -> Vec<(u64, u64)> {
+        let mut runs = Vec::new();
+        let mut at = 0;
+        for step in steps {
             let left = source.size_hint().0;
             assert_eq!(source.size_hint(), (left, Some(left)));
-            let at_ms = if skip() {
-                source.skip_event()
-            } else {
-                source.next_event().map(|event| event.at_ms)
+            assert_eq!(left, expected.len() - at);
+            let passed = match step {
+                Step::Pull => source
+                    .next_event()
+                    .map(|event| SkippedRun::one(event.at_ms)),
+                Step::Run(n) => source.skip_events(n),
             };
-            let Some(at_ms) = at_ms else {
+            let Some(passed) = passed else {
                 assert_eq!(left, 0, "ended with {left} events announced");
-                break;
+                return runs;
             };
-            times.push(at_ms);
-            assert_eq!(source.size_hint().0, left - 1);
+            if let Step::Run(n) = step {
+                assert_eq!(passed.count, n.min(left));
+                runs.push((passed.first_ms, passed.last_ms));
+            }
+            let last = at + passed.count - 1;
+            assert_eq!(
+                (passed.first_ms, passed.last_ms),
+                (expected[at], expected[last])
+            );
+            at = last + 1;
         }
-        times
+        unreachable!("the steps never end")
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
+        /// Pulls, one-event skips and longer runs, mixed at random,
+        /// walk the times pulling walks. The walk opens with a run longer
+        /// than a day, so some run crosses a minute boundary and, on a
+        /// chain, a day boundary.
         #[test]
         fn skipping_walks_the_same_times_as_pulling(
             (seed, minute_ms, days) in (0u64..1_000, 50u64..2_000, 1usize..4),
-            (skip_seed, skip_fraction) in (0u64..1_000, 0.0f64..1.0),
+            (step_seed, skip_fraction, run_fraction) in (0u64..1_000, 0.0f64..1.0, 0.0f64..0.5),
+            first_run in 1.0f64..2.0,
         ) {
             let days = vec![fixture::dataset(); days];
             let cfg = ExpandConfig::new(seed).minute_ms(minute_ms);
-            let skips = || {
-                let mut rng = StdRng::seed_from_u64(skip_seed);
-                move || rng.gen_range(0.0..1.0) < skip_fraction
+            let day_len = days[0].total_invocations() as usize;
+            let steps = || {
+                let mut rng = StdRng::seed_from_u64(step_seed);
+                let first = Step::Run((first_run * day_len as f64) as usize + 1);
+                std::iter::once(first).chain(std::iter::repeat_with(move || {
+                    let draw: f64 = rng.gen_range(0.0..1.0);
+                    if draw < run_fraction {
+                        Step::Run(rng.gen_range(1..2 * day_len))
+                    } else if rng.gen_range(0.0..1.0) < skip_fraction {
+                        Step::Run(1)
+                    } else {
+                        Step::Pull
+                    }
+                }))
             };
-            let pulled = walk(days[0].source(cfg).unwrap(), || false);
-            prop_assert_eq!(pulled.len() as u64, days[0].total_invocations());
-            prop_assert!(walk(days[0].source(cfg).unwrap(), skips()) == pulled);
-            let chained = walk(multi_day_source(&days, cfg).unwrap(), || false);
+            let pulled = pulled_times(days[0].source(cfg).unwrap());
+            prop_assert_eq!(pulled.len(), day_len);
+            walk(days[0].source(cfg).unwrap(), steps(), &pulled);
+            let chained = pulled_times(multi_day_source(&days, cfg).unwrap());
             prop_assert_eq!(chained.len(), pulled.len() * days.len());
-            prop_assert!(walk(multi_day_source(&days, cfg).unwrap(), skips()) == chained);
+            let runs = walk(multi_day_source(&days, cfg).unwrap(), steps(), &chained);
+            let crossed = |span_ms: u64| {
+                runs.iter().any(|&(first, last)| first / span_ms != last / span_ms)
+            };
+            prop_assert!(crossed(minute_ms), "no run crossed a minute");
+            let day_ms = days[0].minutes() as u64 * minute_ms;
+            prop_assert!(days.len() == 1 || crossed(day_ms), "no run crossed a day");
         }
     }
 
@@ -640,6 +756,28 @@ mod tests {
         assert_eq!(class_of("resize"), TenantClass::Batch);
         // No memory row → classified on duration alone.
         assert_eq!(class_of("nightly"), TenantClass::Batch);
+    }
+
+    #[test]
+    fn a_minute_of_2_pow_32_arrivals_is_rejected() {
+        // Two functions at 3·10⁹ invocations in minute 1: each count
+        // fits in 32 bits, their sum does not.
+        let mut lines = fixture::INVOCATIONS_CSV.lines();
+        let mut csv = format!("{}\n", lines.next().unwrap());
+        for (row, line) in lines.enumerate() {
+            let mut fields: Vec<&str> = line.split(',').collect();
+            if row < 2 {
+                fields[4] = "3000000000";
+            }
+            csv.push_str(&fields.join(","));
+            csv.push('\n');
+        }
+        let dataset =
+            AzureDataset::from_csv(&csv, fixture::DURATIONS_CSV, fixture::MEMORY_CSV).unwrap();
+        assert!(matches!(
+            dataset.source(config()),
+            Err(TraceError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -37,9 +37,10 @@ pub enum TraceTransform {
     ///
     /// Because the decision needs only the position, a
     /// [`TransformedSource`] makes it before pulling the event whenever
-    /// no [`TraceTransform::Window`] precedes this stage, and passes a
-    /// dropped event with [`TraceSource::skip_event`]: a source that
-    /// builds events lazily never builds the ones thinning drops.
+    /// no [`TraceTransform::Window`] precedes this stage, and passes
+    /// each run of dropped events with one [`TraceSource::skip_events`]
+    /// call: a source that builds events lazily never builds the ones
+    /// thinning drops.
     ScaleRate {
         /// Fraction of events to keep, in `[0, 1]`.
         keep_fraction: f64,
@@ -221,19 +222,21 @@ impl<S: TraceSource> TransformedSource<S> {
     /// Pulls input events through the transform chain until one
     /// survives — or a window stage proves the stream is over, which
     /// ends it without draining (or expanding) the rest of the source.
-    /// An event a pre-window stage drops by index is skipped, never
-    /// built.
+    /// Events a pre-window stage drops by index are never built: each
+    /// run of them, up to `MAX_SKIP_RUN` long, is passed with one
+    /// [`TraceSource::skip_events`] call.
     fn next_transformed(&mut self) -> Option<TraceEvent> {
         'events: while !self.finished {
-            let index = self.index;
-            if self.transforms[..self.pre_pull]
-                .iter()
-                .any(|t| t.drops_index(index))
-            {
-                self.source.skip_event()?;
-                self.index += 1;
-                continue;
+            let run = self.dropped_run();
+            if run > 0 {
+                let skipped = self.source.skip_events(run)?;
+                self.index += skipped.count as u64;
+                if run == MAX_SKIP_RUN {
+                    // The run may go on past the cap.
+                    continue;
+                }
             }
+            let index = self.index;
             let mut event = self.source.next_event()?;
             self.index += 1;
             for transform in &self.transforms {
@@ -250,7 +253,24 @@ impl<S: TraceSource> TransformedSource<S> {
         }
         None
     }
+
+    /// How many input events from `index` on the pre-window stages drop
+    /// by index alone, counted up to `MAX_SKIP_RUN`.
+    fn dropped_run(&self) -> usize {
+        let pre_pull = &self.transforms[..self.pre_pull];
+        (0..MAX_SKIP_RUN)
+            .take_while(|&k| {
+                let index = self.index + k as u64;
+                pre_pull.iter().any(|t| t.drops_index(index))
+            })
+            .count()
+    }
 }
+
+/// Longest run of dropped input events [`TransformedSource`] counts
+/// before skipping it: a chain that drops everything still pulls in
+/// bounded steps.
+const MAX_SKIP_RUN: usize = 1024;
 
 impl<S: TraceSource> TraceSource for TransformedSource<S> {
     fn next_event(&mut self) -> Option<TraceEvent> {

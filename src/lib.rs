@@ -24,9 +24,10 @@
 //! | [`observe`] | `litmus-observe` | SLO burn-rate alerting, fairness rollups, export tooling |
 //!
 //! The paper's hardware testbed (Cascade Lake Xeon, Linux perf, CPython/
-//! Node.js/Go) is replaced by a deterministic analytic simulator — see
-//! `DESIGN.md` for the substitution map and `EXPERIMENTS.md` for
-//! paper-vs-measured results on every figure.
+//! Node.js/Go) is replaced by a deterministic analytic simulator, whose
+//! model the [`sim`] crate documents. The `litmus-repro` binary prints
+//! the measured rows of every table and figure (README, *Reproducing
+//! paper figures*).
 //!
 //! # Quickstart
 //!

@@ -2,8 +2,8 @@
 //!
 //! These use reduced scales (shorter bodies, fewer reps) so they stay
 //! test-suite friendly; the bands are correspondingly loose. The
-//! full-scale numbers live in `EXPERIMENTS.md` and are regenerated by
-//! the `litmus-repro` binary.
+//! full-scale numbers are printed by the `litmus-repro` binary (README,
+//! *Reproducing paper figures*).
 
 use litmus::prelude::*;
 
